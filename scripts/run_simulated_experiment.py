@@ -12,18 +12,18 @@ import argparse
 
 import numpy as np
 
-from pconcurrence.measures import fidelity_to_ket, purity, uhlmann_fidelity, wootters_concurrence
-from pconcurrence.states import density_from_ket, make_max_entangled, make_spdc_qudit
+from pconcurrence.measures import purity, uhlmann_fidelity
+from pconcurrence.states import density_from_ket, make_spdc_qudit
 from pconcurrence.tomography import (
     budget,
-    extract_sub_tomography,
     joint_settings,
     pairwise_ket_labels,
     pairwise_overcomplete_kets,
     reconstruct_mle,
+    sector_estimates,
     simulate_counts,
 )
-from pconcurrence.witness import enumerate_pairs, identity_pairing, pconcurrence_known
+from pconcurrence.witness import identity_pairing, pconcurrence_known, sector_report
 
 
 def main():
@@ -50,18 +50,13 @@ def main():
     print(f"full reconstruction: purity {purity(rho_full):.4f}, "
           f"fidelity to truth {uhlmann_fidelity(rho_full, truth):.4f}")
 
-    bell = make_max_entangled(2)
+    pairs = identity_pairing(args.dim).pairs
+    report = sector_report(pairs, *sector_estimates(record, pairs))
     print(f"\n{'sector':<20} {'concurrence':>11} {'fidelity':>9}")
-    product = 1.0
-    for pair in enumerate_pairs(args.dim):
-        sub = extract_sub_tomography(record, pair, pair)
-        rho2 = reconstruct_mle(sub)
-        conc = wootters_concurrence(rho2)
-        fid = fidelity_to_ket(rho2, bell)
-        product *= conc
-        print(f"{{{pair.lo},{pair.hi}}}_A x {{{pair.lo},{pair.hi}}}_B".ljust(20)
-              + f" {conc:>11.3f} {fid:>9.3f}")
-    print(f"{'product (sectors)':<20} {product:>11.3f}")
+    for row in report.subspace_rows:
+        print(f"{{{row.a.lo},{row.a.hi}}}_A x {{{row.b.lo},{row.b.hi}}}_B".ljust(20)
+              + f" {row.concurrence:>11.3f} {row.fidelity:>9.3f}")
+    print(f"{'product (sectors)':<20} {report.pconcurrence:>11.3f}")
 
     ideal = pconcurrence_known(truth, identity_pairing(args.dim)).pconcurrence
     print(f"{'product (ideal)':<20} {ideal:>11.3f}")

@@ -17,12 +17,10 @@ from .measures import (
     MEASURE_NAMES,
     eof_pure,
     evaluate_measure,
-    fidelity_to_ket,
     i_concurrence,
     normalize_measure,
     purity,
     uhlmann_fidelity,
-    wootters_concurrence,
 )
 from .states import (
     BipartiteKet,
@@ -31,16 +29,14 @@ from .states import (
     as_density,
     density_from_ket,
     load_state,
-    make_max_entangled,
     make_spdc_qutrit,
     save_state,
+    state_from_dict,
 )
 from .tomography import (
     TomographyRecord,
     budget,
     budget_to_dict,
-    extract_sub_tomography,
-    frequencies,
     joint_settings,
     load_record,
     mub_ket_labels,
@@ -50,19 +46,19 @@ from .tomography import (
     qubit_setting_kets,
     reconstruct_linear,
     reconstruct_mle,
+    record_from_dict,
     save_record,
+    sector_estimates,
     simulate_counts,
 )
 from .witness import (
-    SubspacePairing,
-    SubspaceRow,
     WitnessReport,
-    enumerate_pairs,
     identity_pairing,
-    maximize_over_pairings,
     pconcurrence_known,
     pconcurrence_search,
     report_to_dict,
+    sector_pairs,
+    sector_report,
 )
 
 SWEEP_HEADER = "alpha,beta,pconcurrence,eof_norm,iconcurrence_norm"
@@ -80,8 +76,8 @@ def _write_text(path: str, text: str) -> None:
 def _load_input(path: str) -> BipartiteKet | DensityMatrix | TomographyRecord:
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if isinstance(obj, dict) and "settings" in obj:
-        return load_record(path)
-    return load_state(path)
+        return record_from_dict(obj)
+    return state_from_dict(obj)
 
 
 def _sweep_row(alpha: float, beta: float) -> tuple[float, float, float]:
@@ -197,34 +193,15 @@ def _print_report(report: WitnessReport) -> None:
     print(f"{'pconcurrence (' + report.search_mode + ')':<26} {report.pconcurrence:>11.2f}")
 
 
-def _score_sub_record(record: TomographyRecord, a, b) -> SubspaceRow:
-    sub_record = extract_sub_tomography(record, a, b)
-    rho2 = reconstruct_mle(sub_record)
-    # Sector weight estimate: the 36 subspace projectors sum to 9 I, so the
-    # total frequency is 9x the sector weight.
-    weight = float(frequencies(sub_record).sum() / 9.0)
-    return SubspaceRow(
-        a,
-        b,
-        concurrence=wootters_concurrence(rho2),
-        fidelity=fidelity_to_ket(rho2, make_max_entangled(2)),
-        weight=weight,
-    )
-
-
 def _witness_from_record(record: TomographyRecord, mode: str) -> WitnessReport:
     """Per-subspace extraction + MLE reconstruction, then score and pair."""
     if record.dim_a != record.dim_b:
         raise ValueError("witness needs equal side dimensions")
-    pairs = enumerate_pairs(record.dim_a)
     if mode == "known":
-        rows = tuple(_score_sub_record(record, a, a) for a in pairs)
-        prod = 1.0
-        for r in rows:
-            prod *= r.concurrence
-        return WitnessReport(rows, prod, SubspacePairing(tuple((r.a, r.b) for r in rows)), "known")
-    table = [[_score_sub_record(record, a, b) for b in pairs] for a in pairs]
-    return maximize_over_pairings(table)
+        pairs, search = identity_pairing(record.dim_a).pairs, None
+    else:
+        pairs, search = sector_pairs(record.dim_a), "auto"
+    return sector_report(pairs, *sector_estimates(record, pairs), search=search)
 
 
 def cmd_witness(args: argparse.Namespace) -> int:

@@ -1,6 +1,7 @@
 """Entanglement measures and state-comparison utilities.
 
-Concurrence applies to two-qubit states (pure or mixed); the
+Concurrence applies to two-qubit states (pure or mixed) and is evaluated
+on (M, 4, 4) stacks by one batched kernel, wootters_concurrences; the
 I-concurrence and entanglement of formation are pure-state measures in
 arbitrary dimensions. Normalization divides by the d-dimensional
 pure-state maximum so all measures land in [0, 1].
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import psd_factor
-from .states import BipartiteKet, DensityMatrix, as_density
+from .qmath import HERMITICITY_ATOL, PSD_EIG_FLOOR, RANK_RTOL, psd_factor
+from .states import TRACE_ATOL, BipartiteKet, DensityMatrix, as_density
 
 MEASURE_NAMES = ("concurrence", "i_concurrence", "eof", "pconcurrence")
 
@@ -42,26 +43,52 @@ class MeasureValue:
             raise ValueError(f"normalized value {self.normalized!r} outside [0, 1]")
 
 
-def wootters_concurrence(rho: DensityMatrix) -> float:
-    """Concurrence of a two-qubit density matrix.
+def wootters_concurrences(states: np.ndarray) -> np.ndarray:
+    """Concurrences of an (M, 4, 4) stack of two-qubit density matrices.
 
     C = max(0, l1 - l2 - l3 - l4) where the l_i descend and are the square
-    roots of the eigenvalues of the Hermitian PSD sandwich
-    sqrt(rho) rho_tilde sqrt(rho), the spin flip being
-    rho_tilde = (sy x sy) rho* (sy x sy) with conjugation in the storage
-    basis. The l_i are evaluated as the singular values of the complex
-    symmetric matrix L^T (sy x sy) L with rho = L L^dag rank-truncated:
-    algebraically identical to the sandwich spectrum, but zero eigenvalues
-    stay exactly zero instead of picking up sqrt(eps)-sized noise, and no
-    non-selfadjoint eigenproblem appears.
+    roots of the eigenvalues of sqrt(rho) rho_tilde sqrt(rho), with the
+    spin flip rho_tilde = (sy x sy) rho* (sy x sy) in the storage basis.
+    The l_i are evaluated as the singular values of the complex symmetric
+    L^T (sy x sy) L for the rank-truncated factor rho = L L^dag, so zero
+    eigenvalues stay exactly zero instead of picking up sqrt(eps) noise.
+    Each state is checked Hermitian, unit-trace and PSD; one batched eigh
+    gives the check and L. Singular values are taken per group of equal
+    rank r, as (M_r, r, r) stacks, so no result depends on its neighbours.
     """
+    m = np.asarray(states, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise ValueError(f"expected an (M, 4, 4) stack of two-qubit states, got shape {m.shape}")
+    if not len(m):
+        return np.zeros(0)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    m_dag = m.conj().transpose(0, 2, 1)
+    dev = float(np.abs(m - m_dag).max())
+    if dev > HERMITICITY_ATOL:
+        raise ValueError(f"matrix is not Hermitian: max|m - m^dag| = {dev:.3e} exceeds {HERMITICITY_ATOL:.1e}")
+    tr_dev = float(np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0).max())
+    if tr_dev > TRACE_ATOL:
+        raise ValueError(f"unit trace violated: |Tr - 1| = {tr_dev:.3e} exceeds {TRACE_ATOL:.1e}")
+    w, v = np.linalg.eigh((m + m_dag) / 2)
+    w, v = w[:, ::-1], v[:, :, ::-1]
+    if w[:, -1].min() < PSD_EIG_FLOOR:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {w[:, -1].min():.3e} below {PSD_EIG_FLOOR:.1e}")
+    rank = (w > np.maximum(w[:, :1], 0.0) * RANK_RTOL).sum(axis=1)
+    lam = np.zeros((len(m), 4))
+    for r in np.unique(rank[rank > 0]):
+        group = rank == r
+        factor = np.ascontiguousarray(v[group, :, :r] * np.sqrt(w[group, None, :r]))
+        lam[group, :r] = np.linalg.svd(factor.transpose(0, 2, 1) @ _SPIN_FLIP @ factor, compute_uv=False)
+    c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    return np.where(c > 0.0, c, 0.0)
+
+
+def wootters_concurrence(rho: DensityMatrix) -> float:
+    """Concurrence of one two-qubit density matrix (a stack of one, see wootters_concurrences)."""
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise ValueError(f"concurrence needs a 2x2 bipartite state, got ({rho.dim_a}, {rho.dim_b})")
-    factor = psd_factor(rho.matrix)
-    lam = np.zeros(4)
-    sigma = np.linalg.svd(factor.T @ _SPIN_FLIP @ factor, compute_uv=False)
-    lam[: sigma.shape[0]] = sigma
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(wootters_concurrences(rho.matrix[None])[0])
 
 
 def _reduced_a_of_pure(state: BipartiteKet | DensityMatrix, caller: str) -> np.ndarray:
@@ -126,8 +153,12 @@ def fidelity_to_ket(rho: DensityMatrix, target: BipartiteKet) -> float:
         raise ValueError(
             f"dimension mismatch: state ({rho.dim_a}, {rho.dim_b}) vs target ({target.dim_a}, {target.dim_b})"
         )
-    v = target.amplitudes
-    val = complex(np.vdot(v, rho.matrix @ v))
+    return ket_fidelity(rho.matrix, target.amplitudes)
+
+
+def ket_fidelity(m: np.ndarray, v: np.ndarray) -> float:
+    """<v| m |v> for a density matrix m and a unit vector v, checked real and in [0, 1]."""
+    val = complex(np.vdot(v, m @ v))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"fidelity came out non-real: imaginary part {val.imag:.3e}")
     x = val.real

@@ -6,6 +6,7 @@ import numpy as np
 
 HERMITICITY_ATOL = 1e-10
 PSD_EIG_FLOOR = -1e-10
+RANK_RTOL = 1e-13
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -66,7 +67,7 @@ def sqrt_psd(m: np.ndarray, eig_floor: float = PSD_EIG_FLOOR) -> np.ndarray:
 
 
 def psd_factor(
-    m: np.ndarray, eig_floor: float = PSD_EIG_FLOOR, rank_rtol: float = 1e-13
+    m: np.ndarray, eig_floor: float = PSD_EIG_FLOOR, rank_rtol: float = RANK_RTOL
 ) -> np.ndarray:
     """Rank-revealing factor L with m = L L^dag, columns v_i sqrt(w_i).
 

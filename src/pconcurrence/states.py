@@ -76,13 +76,13 @@ class DensityMatrix:
             raise ValueError("matrix contains non-finite entries")
         herm_dev = float(np.abs(m - m.conj().T).max())
         if herm_dev > HERM_ATOL:
-            raise ValueError(f"not Hermitian: max|m - m^dag| = {herm_dev:.3e}")
-        tr = complex(np.trace(m))
+            raise ValueError(f"Hermiticity violated: max|m - m^dag| = {herm_dev:.3e} exceeds {HERM_ATOL:.1e}")
+        tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace is {tr!r}, not 1")
+            raise ValueError(f"unit trace violated: |Tr - 1| = {abs(tr - 1.0):.3e} exceeds {TRACE_ATOL:.1e}")
         min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
         if min_eig < PSD_ATOL:
-            raise ValueError(f"not PSD: min eigenvalue = {min_eig:.3e}")
+            raise ValueError(f"positivity violated: min eigenvalue = {min_eig:.3e} below {PSD_ATOL:.1e}")
 
     @property
     def dim(self) -> int:
@@ -157,30 +157,16 @@ def density_from_ket(k: BipartiteKet) -> DensityMatrix:
 def validate_density(m: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
     """Gate an arbitrary matrix into a DensityMatrix.
 
-    Checks Hermiticity, unit trace and positivity against the type
-    tolerances, symmetrizes and renormalizes the trace when the deviation
-    is within tolerance, and raises naming the violated invariant and its
-    magnitude otherwise.
+    The DensityMatrix checks (Hermiticity, unit trace and positivity
+    against the type tolerances) run once, on m as given, and raise naming
+    the violated invariant and its magnitude. The stored matrix is then
+    symmetrized and renormalized to unit trace, which keeps every checked
+    invariant.
     """
-    da, db = dims
-    n = da * db
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (n, n):
-        raise ValueError(f"matrix shape {m.shape} does not match dims ({da}, {db})")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
-    herm_dev = float(np.abs(m - m.conj().T).max())
-    if herm_dev > HERM_ATOL:
-        raise ValueError(f"Hermiticity violated: max|m - m^dag| = {herm_dev:.3e} exceeds {HERM_ATOL:.1e}")
-    m = (m + m.conj().T) / 2
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"unit trace violated: |Tr - 1| = {abs(tr - 1.0):.3e} exceeds {TRACE_ATOL:.1e}")
-    m = m / tr
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < PSD_ATOL:
-        raise ValueError(f"positivity violated: min eigenvalue = {min_eig:.3e} below {PSD_ATOL:.1e}")
-    return DensityMatrix(da, db, m)
+    rho = DensityMatrix(dims[0], dims[1], m)
+    sym = (rho.matrix + rho.matrix.conj().T) / 2
+    object.__setattr__(rho, "matrix", sym / float(np.trace(sym).real))
+    return rho
 
 
 # --- state file format ------------------------------------------------------

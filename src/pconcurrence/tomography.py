@@ -13,13 +13,14 @@ import itertools
 import json
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .states import DensityMatrix, validate_density
-from .witness import IndexPair, count_subspaces
+from .witness import WEIGHT_FLOOR, IndexPair, count_subspaces
 
 SUPERPOSITION_PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 _PHASE_DEG = (0, 90, 180, 270)
@@ -433,6 +434,25 @@ def extract_sub_tomography(
         counts=np.array(kept_counts),
         seed=record.seed,
     )
+
+
+def sector_estimates(
+    record: TomographyRecord, pairs: Sequence[tuple[IndexPair, IndexPair]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked per-sector MLE states and weights of a qudit record.
+
+    The weight estimate is the total sector frequency / 9: the 36 subspace
+    projectors of a pairwise record sum to 9 I. A sector below WEIGHT_FLOOR
+    (no counts) is not fitted and its state stays zero.
+    """
+    states = np.zeros((len(pairs), 4, 4), dtype=complex)
+    weights = np.zeros(len(pairs))
+    for i, (a, b) in enumerate(pairs):
+        sub_record = extract_sub_tomography(record, a, b)
+        weights[i] = frequencies(sub_record).sum() / 9.0
+        if weights[i] >= WEIGHT_FLOOR:
+            states[i] = reconstruct_mle(sub_record).matrix
+    return states, weights
 
 
 # --- measurement budget -----------------------------------------------------

@@ -7,18 +7,23 @@ entanglement survives in every sector, which makes it a dimension
 witness. When the correlation-preserving pairing is unknown, the maximum
 over all K! pairings is taken, either by enumeration or as an exact
 linear-assignment problem on log-concurrences.
+
+Sectors are scored as stacks: sector_states gathers them from a density
+matrix with one fancy index, and sector_report scores any stack (record
+estimates too) with one batched Wootters kernel and builds the rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .measures import fidelity_to_ket, wootters_concurrence
+from .measures import ket_fidelity, wootters_concurrences
 from .states import DensityMatrix, make_max_entangled
 
 WEIGHT_FLOOR = 1e-12
@@ -104,51 +109,90 @@ def identity_pairing(d: int) -> SubspacePairing:
     return SubspacePairing(tuple(zip(pairs, pairs)))
 
 
+def sector_pairs(d: int) -> list[tuple[IndexPair, IndexPair]]:
+    """All K^2 (A-pair, B-pair) sectors, A-pair major: the pairing-search table."""
+    pairs = enumerate_pairs(d)
+    return [(a, b) for a in pairs for b in pairs]
+
+
+def sector_states(
+    rho: DensityMatrix, pairs: Sequence[tuple[IndexPair, IndexPair]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Restrict a state to each two-qubit sector (a on side A, b on side B).
+
+    With B = P_a x P_b, P_a selecting rows (lo, hi) of side A, returns the
+    (M, 4, 4) stack of B rho B^dag / weight (one fancy index into rho) and
+    the (M,) weights Tr(B rho B^dag). Subspace coordinates map lo -> 0 and
+    hi -> 1. States with weight below WEIGHT_FLOOR stay unnormalized.
+    """
+    lohi = np.array([(a.lo, a.hi, b.lo, b.hi) for a, b in pairs]).reshape(-1, 4)
+    if (lohi[:, 1] >= rho.dim_a).any() or (lohi[:, 3] >= rho.dim_b).any():
+        raise ValueError(f"sector indices exceed dims ({rho.dim_a}, {rho.dim_b})")
+    idx = (lohi[:, :2, None] * rho.dim_b + lohi[:, None, 2:]).reshape(-1, 4)
+    raw = rho.matrix[idx[:, :, None], idx[:, None, :]]
+    raw = (raw + raw.conj().transpose(0, 2, 1)) / 2
+    weights = np.trace(raw, axis1=1, axis2=2).real
+    return raw / np.where(weights < WEIGHT_FLOOR, 1.0, weights)[:, None, None], weights
+
+
 def project_subspace(
     rho: DensityMatrix, a: IndexPair, b: IndexPair
 ) -> tuple[DensityMatrix, float]:
-    """Restrict a state to the two-qubit sector (a on side A, b on side B).
+    """One sector of sector_states, as (state, weight).
 
-    Applies B = (P_a x P_b) with P_a the 2 x dimA selection of rows (lo, hi)
-    and returns (B rho B^dag / weight, weight) with weight = Tr(B rho B^dag).
-    Subspace coordinates map lo -> 0 and hi -> 1 on each side. Raises
-    SubspaceSupportError when the weight underflows; callers treating the
-    sector as unentangled score it as concurrence 0.
+    Raises SubspaceSupportError when the weight underflows WEIGHT_FLOOR;
+    sector_report scores such sectors as concurrence 0.
     """
-    if a.hi >= rho.dim_a or b.hi >= rho.dim_b:
-        raise ValueError(
-            f"pair indices ({a.lo},{a.hi})x({b.lo},{b.hi}) exceed dims ({rho.dim_a}, {rho.dim_b})"
-        )
-    pa = np.zeros((2, rho.dim_a))
-    pa[0, a.lo] = pa[1, a.hi] = 1.0
-    pb = np.zeros((2, rho.dim_b))
-    pb[0, b.lo] = pb[1, b.hi] = 1.0
-    sel = np.kron(pa, pb)
-    raw = sel @ rho.matrix @ sel.conj().T
-    raw = (raw + raw.conj().T) / 2
-    weight = float(np.trace(raw).real)
-    if weight < WEIGHT_FLOOR:
+    states, weights = sector_states(rho, [(a, b)])
+    if weights[0] < WEIGHT_FLOOR:
         raise SubspaceSupportError(
-            f"no support on subspace ({a.lo},{a.hi})x({b.lo},{b.hi}): weight = {weight:.3e}"
+            f"no support on subspace ({a.lo},{a.hi})x({b.lo},{b.hi}): weight = {weights[0]:.3e}"
         )
-    return DensityMatrix(2, 2, raw / weight), weight
+    return DensityMatrix(2, 2, states[0]), float(weights[0])
 
 
 _BELL2 = make_max_entangled(2)
 
 
-def _score_subspace(rho: DensityMatrix, a: IndexPair, b: IndexPair) -> SubspaceRow:
-    # Zero-support sectors certainly hold no entanglement: score 0, not error.
-    try:
-        sub, weight = project_subspace(rho, a, b)
-    except SubspaceSupportError:
-        return SubspaceRow(a, b, concurrence=0.0, fidelity=0.0, weight=0.0)
-    return SubspaceRow(
-        a,
-        b,
-        concurrence=wootters_concurrence(sub),
-        fidelity=fidelity_to_ket(sub, _BELL2),
-        weight=weight,
+def sector_report(
+    pairs: Sequence[tuple[IndexPair, IndexPair]],
+    states: np.ndarray,
+    weights: np.ndarray,
+    search: str | None = None,
+) -> WitnessReport:
+    """The one row builder: score a stack of sector states, pick and build rows.
+
+    states[i] (unit trace) and weights[i] belong to sector pairs[i], from
+    sector_states or from per-sector record estimates. A sector with weight
+    below WEIGHT_FLOOR holds no entanglement: it scores concurrence 0,
+    fidelity 0 and weight 0. With search None, pairs is the pairing and
+    every sector is a row; otherwise pairs is the sector_pairs(d) table and
+    maximize_over_pairings(search) picks the rows. Bell fidelities are
+    evaluated for the reported rows only.
+    """
+    live = weights >= WEIGHT_FLOOR
+    conc = np.zeros(len(pairs))
+    conc[live] = wootters_concurrences(states[live])
+    mode = "known"
+    chosen = range(len(pairs))
+    if search is not None:
+        k = math.isqrt(len(pairs))
+        perm, mode = maximize_over_pairings(conc.reshape(k, k), search)
+        chosen = [i * k + j for i, j in enumerate(perm)]
+    rows = tuple(
+        SubspaceRow(
+            *pairs[i],
+            concurrence=float(conc[i]),
+            fidelity=ket_fidelity(states[i], _BELL2.amplitudes) if live[i] else 0.0,
+            weight=float(weights[i]) if live[i] else 0.0,
+        )
+        for i in chosen
+    )
+    return WitnessReport(
+        subspace_rows=rows,
+        pconcurrence=math.prod(r.concurrence for r in rows),
+        pairing_used=SubspacePairing(tuple((r.a, r.b) for r in rows)),
+        search_mode=mode,
     )
 
 
@@ -172,47 +216,26 @@ def pconcurrence_known(rho: DensityMatrix, pairing: SubspacePairing) -> WitnessR
     if rho.dim_a != rho.dim_b:
         raise ValueError(f"need equal side dimensions, got ({rho.dim_a}, {rho.dim_b})")
     _check_pairing(pairing, rho.dim_a)
-    rows = tuple(_score_subspace(rho, a, b) for a, b in pairing.pairs)
-    return WitnessReport(
-        subspace_rows=rows,
-        pconcurrence=math.prod(r.concurrence for r in rows),
-        pairing_used=pairing,
-        search_mode="known",
-    )
+    return sector_report(pairing.pairs, *sector_states(rho, pairing.pairs))
 
 
-def _row_table(rho: DensityMatrix) -> list[list[SubspaceRow]]:
-    pairs = enumerate_pairs(rho.dim_a)
-    return [[_score_subspace(rho, a, b) for b in pairs] for a in pairs]
-
-
-def _report_from_permutation(
-    table: list[list[SubspaceRow]], perm, mode: str
-) -> WitnessReport:
-    rows = tuple(table[i][j] for i, j in enumerate(perm))
-    return WitnessReport(
-        subspace_rows=rows,
-        pconcurrence=math.prod(r.concurrence for r in rows),
-        pairing_used=SubspacePairing(tuple((r.a, r.b) for r in rows)),
-        search_mode=mode,
-    )
-
-
-def maximize_over_pairings(table: list[list[SubspaceRow]], mode: str = "auto") -> WitnessReport:
+def maximize_over_pairings(conc: np.ndarray, mode: str = "auto") -> tuple[tuple[int, ...], str]:
     """Pick the bijection of A-sectors to B-sectors maximizing the product.
 
-    table[i][j] scores A-pair i against B-pair j (lexicographic order on
-    both sides). brute_force enumerates every bijection; assignment solves
-    the exact equivalent max sum of log-concurrences, with zero entries as
-    forbidden edges (when no zero-free bijection exists the maximum is 0).
-    auto picks brute_force for K <= 8 and assignment above.
+    conc[i, j] is the concurrence of A-pair i against B-pair j
+    (lexicographic order on both sides). Returns (perm, mode used), perm[i]
+    being the B-pair matched with A-pair i. brute_force enumerates every
+    bijection; assignment solves the exact equivalent max sum of
+    log-concurrences, with zero entries as forbidden edges (when no
+    zero-free bijection exists the maximum is 0). auto picks brute_force
+    for K <= 8 and assignment above.
     """
     if mode not in ("brute_force", "assignment", "auto"):
         raise ValueError(f"mode must be brute_force, assignment or auto, got {mode!r}")
-    k = len(table)
+    conc = np.asarray(conc, dtype=float)
+    k = len(conc)
     if mode == "auto":
         mode = "brute_force" if k <= 8 else "assignment"
-    conc = np.array([[row.concurrence for row in line] for line in table])
 
     if mode == "brute_force":
         best_perm, best_val = None, -1.0
@@ -220,23 +243,23 @@ def maximize_over_pairings(table: list[list[SubspaceRow]], mode: str = "auto") -
             val = math.prod(conc[i][j] for i, j in enumerate(perm))
             if val > best_val:
                 best_perm, best_val = perm, val
-        return _report_from_permutation(table, best_perm, "brute_force")
+        return best_perm, mode
 
     log_conc = np.full((k, k), _FORBIDDEN_LOG)
     positive = conc > 0.0
     log_conc[positive] = np.log(conc[positive])
     rows_idx, cols_idx = linear_sum_assignment(log_conc, maximize=True)
-    perm = cols_idx[np.argsort(rows_idx)]
     # If any chosen edge is forbidden, no zero-free bijection exists and the
     # row product comes out 0, which is then the true maximum.
-    return _report_from_permutation(table, perm, "assignment")
+    return tuple(int(j) for j in cols_idx[np.argsort(rows_idx)]), mode
 
 
 def pconcurrence_search(rho: DensityMatrix, mode: str = "auto") -> WitnessReport:
     """Maximize the concurrence product over all K! subspace pairings."""
     if rho.dim_a != rho.dim_b:
         raise ValueError(f"need equal side dimensions, got ({rho.dim_a}, {rho.dim_b})")
-    return maximize_over_pairings(_row_table(rho), mode)
+    pairs = sector_pairs(rho.dim_a)
+    return sector_report(pairs, *sector_states(rho, pairs), search=mode)
 
 
 def report_to_dict(report: WitnessReport) -> dict:

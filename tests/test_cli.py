@@ -8,9 +8,11 @@ from pconcurrence.states import (
     density_from_ket,
     load_state,
     make_max_entangled,
+    make_spdc_qudit,
     make_spdc_qutrit,
     save_state,
 )
+from pconcurrence.witness import pconcurrence_search
 from pconcurrence.tomography import load_record
 
 
@@ -220,6 +222,34 @@ def test_witness_from_record_pipeline(tmp_path, max_qutrit_file, capsys):
     search = json.loads(search_path.read_text())
     # the max over pairings dominates the known pairing
     assert search["pconcurrence"] >= report["pconcurrence"] - 1e-9
+
+
+def test_witness_record_search_with_zero_count_sectors(tmp_path):
+    # Off-pairing sectors such as (0,1)x(2,3) of a d = 4 anticorrelated
+    # state collect no counts; they score 0 instead of failing the fit.
+    ket = make_spdc_qudit(4, 1.5)
+    state_path, record_path = tmp_path / "ket.json", tmp_path / "record.json"
+    save_state(state_path, ket)
+    assert main(["simulate", str(state_path), "--seed", "4", "--out", str(record_path)]) == 0
+    known_path, search_path = tmp_path / "known.json", tmp_path / "search.json"
+    assert main(["witness", str(record_path), "--out", str(known_path)]) == 0
+    assert main(["witness", str(record_path), "--pairing", "search", "--out", str(search_path)]) == 0
+    known = json.loads(known_path.read_text())
+    search = json.loads(search_path.read_text())
+    assert search["pconcurrence"] >= known["pconcurrence"]
+    exact = pconcurrence_search(density_from_ket(ket)).pconcurrence
+    assert abs(search["pconcurrence"] - exact) < 0.03
+
+
+def test_witness_parses_its_input_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "state.json"
+    save_state(path, density_from_ket(make_spdc_qutrit(SpdcParams(0.5, 0.5))))
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(1) or loads(*a, **k))
+    assert main(["witness", str(path)]) == 0
+    assert len(calls) == 1
+    assert "0.64" in capsys.readouterr().out
 
 
 def test_budget_text_and_json(tmp_path, capsys):

@@ -168,6 +168,15 @@ def test_validate_density_symmetrizes_and_renormalizes():
     assert np.abs(rho.matrix - rho.matrix.conj().T).max() == 0.0
 
 
+def test_validate_density_runs_one_eigendecomposition(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    rho = validate_density(np.eye(9, dtype=complex) / 9, (3, 3))
+    assert len(calls) == 1
+    assert np.abs(rho.matrix - np.eye(9) / 9).max() < 1e-15
+
+
 def test_density_matrix_type_checks():
     with pytest.raises(ValueError):
         DensityMatrix(2, 2, np.eye(3, dtype=complex) / 3)

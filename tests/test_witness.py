@@ -1,16 +1,19 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pconcurrence.measures import wootters_concurrence
+from pconcurrence.measures import fidelity_to_ket, wootters_concurrence, wootters_concurrences
+from pconcurrence.qmath import psd_factor
 from pconcurrence.states import (
     BipartiteKet,
     SpdcParams,
     density_from_ket,
     make_max_entangled,
+    make_spdc_qudit,
     make_spdc_qutrit,
     validate_density,
 )
@@ -26,6 +29,9 @@ from pconcurrence.witness import (
     pconcurrence_search,
     project_subspace,
     report_to_dict,
+    sector_pairs,
+    sector_report,
+    sector_states,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -284,3 +290,102 @@ def test_fidelity_column_is_subspace_bell_fidelity():
     report = pconcurrence_known(qutrit_density(1.0, 0.0), identity_pairing(3))
     # sector (0,1)x(0,1) holds the embedded Bell state
     assert abs(report.subspace_rows[0].fidelity - 1.0) < 1e-9
+
+
+# --- batched sector engine ----------------------------------------------------
+
+SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def reference_sector(rho, a, b):
+    """One sector through a kron selection matrix and a rank-revealing factor.
+
+    Returns (concurrence, fidelity, weight), or None without support.
+    """
+    pa = np.zeros((2, rho.dim_a))
+    pa[0, a.lo] = pa[1, a.hi] = 1.0
+    pb = np.zeros((2, rho.dim_b))
+    pb[0, b.lo] = pb[1, b.hi] = 1.0
+    sel = np.kron(pa, pb)
+    raw = sel @ rho.matrix @ sel.T
+    raw = (raw + raw.conj().T) / 2
+    weight = float(np.trace(raw).real)
+    if weight < 1e-12:
+        return None
+    sub = raw / weight
+    factor = psd_factor(sub)
+    lam = np.zeros(4)
+    sigma = np.linalg.svd(factor.T @ SPIN_FLIP @ factor, compute_uv=False)
+    lam[: sigma.shape[0]] = sigma
+    bell = make_max_entangled(2).amplitudes
+    fidelity = min(1.0, max(0.0, complex(np.vdot(bell, sub @ bell)).real))
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), fidelity, weight
+
+
+def random_density(rng, d, rank, sparse):
+    g = rng.normal(size=(d * d, rank)) + 1j * rng.normal(size=(d * d, rank))
+    if sparse:
+        g[rng.random(d * d) < 0.4] = 0.0  # leaves sectors without support
+    m = g @ g.conj().T
+    return validate_density(m / np.trace(m).real, (d, d))
+
+
+def test_search_table_equals_single_sector_results_exactly():
+    rng = np.random.default_rng(61)
+    bell = make_max_entangled(2)
+    zero_support = 0
+    for d in range(2, 9):
+        for rank in (1, 2, 3, d * d):
+            rho = random_density(rng, d, rank, sparse=d >= 4 and rank <= 3)
+            pairs = sector_pairs(d)
+            table = {(r.a, r.b): r for r in sector_report(pairs, *sector_states(rho, pairs)).subspace_rows}
+            assert len(table) == len(pairs)
+            for (a, b), row in table.items():
+                ref = reference_sector(rho, a, b)
+                if ref is None:
+                    zero_support += 1
+                    assert (row.concurrence, row.fidelity, row.weight) == (0.0, 0.0, 0.0)
+                    with pytest.raises(SubspaceSupportError):
+                        project_subspace(rho, a, b)
+                    continue
+                sub, weight = project_subspace(rho, a, b)
+                single = (wootters_concurrence(sub), fidelity_to_ket(sub, bell), weight)
+                assert (row.concurrence, row.fidelity, row.weight) == single == ref
+            for row in pconcurrence_search(rho).subspace_rows:
+                assert row == table[(row.a, row.b)]
+    assert zero_support > 0
+
+
+def white_noise_spdc(d, decay, visibility):
+    psi = make_spdc_qudit(d, decay).amplitudes
+    m = visibility * np.outer(psi, psi.conj()) + (1 - visibility) * np.eye(d * d) / (d * d)
+    return validate_density(m, (d, d)), np.abs(psi[:: d + 1])
+
+
+def test_white_noise_spdc_matches_x_state_closed_form():
+    for d, decay, v in ((6, 4.5, 0.93), (7, 6.0, 0.97), (8, 7.5, 0.91), (8, 5.0, 1.0)):
+        rho, c = white_noise_spdc(d, decay, v)
+        q = (1 - v) / (d * d)
+        expected = math.prod(
+            2 * max(0.0, v * c[i] * c[j] - q) / (v * (c[i] ** 2 + c[j] ** 2) + 4 * q)
+            for i, j in itertools.combinations(range(d), 2)
+        )
+        assert expected > 0.0
+        known = pconcurrence_known(rho, identity_pairing(d)).pconcurrence
+        found = pconcurrence_search(rho).pconcurrence
+        assert known == pytest.approx(expected, rel=1e-9)
+        assert found == pytest.approx(expected, rel=1e-9)
+
+
+def test_kernel_checks_its_inputs():
+    bell = density_from_ket(make_max_entangled(2)).matrix
+    assert wootters_concurrences(np.zeros((0, 4, 4))).shape == (0,)
+    assert wootters_concurrences(np.stack([bell, np.eye(4) / 4])) == pytest.approx([1.0, 0.0], abs=1e-12)
+    with pytest.raises(ValueError, match="stack"):
+        wootters_concurrences(bell)
+    with pytest.raises(ValueError, match="Hermitian"):
+        wootters_concurrences((bell + 1e-3 * np.triu(np.ones((4, 4)), 1))[None])
+    with pytest.raises(ValueError, match="trace"):
+        wootters_concurrences((2 * bell)[None])
+    with pytest.raises(ValueError, match="PSD"):
+        wootters_concurrences(np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)[None])
