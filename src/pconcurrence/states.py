@@ -196,15 +196,39 @@ def state_to_dict(state: BipartiteKet | DensityMatrix) -> dict:
     raise TypeError(f"expected BipartiteKet or DensityMatrix, got {type(state).__name__}")
 
 
+def parse_field(obj: dict, key: str, kind):
+    """kind(obj[key]), raising a ValueError that names the field if it does not convert."""
+    try:
+        return kind(obj[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"field {key!r} is malformed: {obj[key]!r:.60}") from None
+
+
+def parse_complex_list(value, field: str) -> np.ndarray:
+    """A JSON list of [re, im] pairs as a complex vector; a ValueError names the field."""
+    try:
+        return np.array([complex(re, im) for re, im in value])
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must be a list of [re, im] pairs") from None
+
+
 def state_from_dict(obj: dict) -> BipartiteKet | DensityMatrix:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a state must be a JSON object, got a {type(obj).__name__}")
     kind = obj.get("type")
-    da, db = int(obj["dimA"]), int(obj["dimB"])
+    da, db = parse_field(obj, "dimA", int), parse_field(obj, "dimB", int)
     data = obj["data"]
     if kind == "ket":
-        amp = np.array([complex(re, im) for re, im in data])
-        return BipartiteKet(da, db, amp)
+        return BipartiteKet(da, db, parse_complex_list(data, "data"))
     if kind == "density":
-        m = np.array([[complex(re, im) for re, im in row] for row in data])
+        if not isinstance(data, list):
+            raise ValueError("data must be a list of rows of [re, im] pairs")
+        try:
+            m = np.array([[complex(re, im) for re, im in row] for row in data])
+        except (TypeError, ValueError):
+            for i, row in enumerate(data):  # name the first malformed row
+                parse_complex_list(row, f"data[{i}]")
+            raise
         return validate_density(m, (da, db))
     raise ValueError(f"unknown state type {kind!r} (expected 'ket' or 'density')")
 

@@ -4,7 +4,9 @@ Measurement settings are joint rank-1 projectors, one ket per arm.
 Coincidence counts follow Poisson statistics with mean
 rate * integration_time * Born probability. Reconstruction is offered as
 least squares over a Hermitian operator basis (with a PSD projection)
-and as the multiplicative fixed-point maximum-likelihood iteration.
+and as maximum likelihood, by an accelerated projected-gradient ascent
+with multiplicative R rho R steps and a Newton polish, monotone in the
+likelihood.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .states import DensityMatrix, validate_density
+from .states import DensityMatrix, parse_complex_list, parse_field, validate_density
 from .witness import WEIGHT_FLOOR, IndexPair, count_subspaces
 
 SUPERPOSITION_PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
@@ -184,7 +186,10 @@ def joint_settings(
 
 
 def _joint_ket_stack(settings: tuple[ProjectorSetting, ...] | list[ProjectorSetting]) -> np.ndarray:
-    return np.array([np.kron(s.arm_a, s.arm_b) for s in settings])
+    """Row j is kron(arm_a, arm_b) of setting j, as one broadcast product."""
+    a = np.array([s.arm_a for s in settings])
+    b = np.array([s.arm_b for s in settings])
+    return (a[:, :, None] * b[:, None, :]).reshape(len(settings), -1)
 
 
 def born_probability(rho: DensityMatrix, s: ProjectorSetting) -> float:
@@ -241,30 +246,13 @@ def simulate_counts(
 # --- reconstruction ---------------------------------------------------------
 
 
-def _hermitian_basis(n: int) -> list[np.ndarray]:
-    """n^2 linearly independent Hermitian matrices (diagonal + sym + antisym)."""
-    mats = []
-    for i in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[i, i] = 1.0
-        mats.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = m[j, i] = 1.0
-            mats.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = -1.0j
-            m[j, i] = 1.0j
-            mats.append(m)
-    return mats
-
-
 def _design_matrix(V: np.ndarray, n: int) -> np.ndarray:
-    """A[j, k] = <v_j| G_k |v_j> for the _hermitian_basis ordering.
+    """A[j, k] = <v_j| G_k |v_j> for a basis G_k of the n x n Hermitian matrices.
 
-    Real because both sides are Hermitian; evaluated columnwise from the
-    one- and two-entry structure of the basis instead of materializing it.
+    The basis is the n diagonal units, then for each i < j (row-major) the
+    symmetric unit (1 at ij and ji) and the antisymmetric one (-i at ij,
+    +i at ji). A is real because both sides are Hermitian; it is evaluated
+    columnwise from the one- and two-entry structure of the basis.
     """
     cols = [np.abs(V[:, i]) ** 2 for i in range(n)]
     for i in range(n):
@@ -273,6 +261,20 @@ def _design_matrix(V: np.ndarray, n: int) -> np.ndarray:
             cols.append(2 * cross.real)
             cols.append(2 * cross.imag)
     return np.column_stack(cols)
+
+
+def _hermitian_from_coefficients(coeff: np.ndarray, n: int) -> np.ndarray:
+    """sum_k coeff[k] G_k for the basis of _design_matrix, scattered entrywise.
+
+    Adding 0.0 turns signed zeros positive, which makes the result equal,
+    bit for bit, to the explicit sum over the n^2 basis matrices.
+    """
+    rho = np.zeros((n, n), dtype=complex)
+    rho[np.diag_indices(n)] = coeff[:n]
+    upper = np.triu_indices(n, 1)
+    rho[upper] = coeff[n::2] - 1j * coeff[n + 1 :: 2]
+    rho[upper[::-1]] = coeff[n::2] + 1j * coeff[n + 1 :: 2]
+    return rho + 0.0
 
 
 def frequencies(record: TomographyRecord) -> np.ndarray:
@@ -289,18 +291,14 @@ def reconstruct_linear(record: TomographyRecord) -> DensityMatrix:
     operator space.
     """
     n = record.dim_a * record.dim_b
-    V = _joint_ket_stack(record.settings)
-    design = _design_matrix(V, n)
-    rank = int(np.linalg.matrix_rank(design))
+    design = _design_matrix(_joint_ket_stack(record.settings), n)
+    coeff, _, rank, _ = np.linalg.lstsq(design, frequencies(record), rcond=None)
     if rank < n * n:
         raise ValueError(
             f"settings are rank-deficient: design rank {rank} < {n * n} operator dimensions; "
             "reconstruction is underdetermined"
         )
-    coeff, *_ = np.linalg.lstsq(design, frequencies(record), rcond=None)
-    rho = sum(c * g for c, g in zip(coeff, _hermitian_basis(n)))
-    rho = (rho + rho.conj().T) / 2
-    w, v = np.linalg.eigh(rho)
+    w, v = np.linalg.eigh(_hermitian_from_coefficients(coeff, n))
     w = np.clip(w, 0.0, None)
     rho = (v * w) @ v.conj().T
     tr = float(np.trace(rho).real)
@@ -309,10 +307,149 @@ def reconstruct_linear(record: TomographyRecord) -> DensityMatrix:
     return validate_density(rho / tr, (record.dim_a, record.dim_b))
 
 
-def _log_likelihood(V: np.ndarray, counts: np.ndarray, rho: np.ndarray) -> float:
-    p = np.einsum("ji,ik,jk->j", V.conj(), rho, V).real
-    pos = counts > 0
-    return float(np.sum(counts[pos] * np.log(np.maximum(p[pos], PROB_FLOOR))))
+# A first-order step that gains less than this (in count-weighted
+# log-likelihood) switches on the Newton polish for the rest of the fit.
+POLISH_GAIN = 1e-3
+# The Newton polish runs while its factor has at most this many real parameters.
+NEWTON_MAX_PARAMS = 512
+# Eigenvalues below this fraction of the largest are outside the factor's rank.
+RANK_RTOL = 1e-12
+# The gradient step length doubles after every iteration, up to this cap.
+STEP_MAX = 1e6
+
+Step = tuple[np.ndarray, np.ndarray, float]  # candidate, its probabilities, its gain
+
+
+class _Likelihood:
+    """ll(rho) = sum_j c_j log p_j(rho), p_j = <v_j|rho|v_j>, over the settings with counts.
+
+    Settings without counts add nothing to ll or to its gradient on the
+    unit-trace set, so they are dropped.
+    """
+
+    def __init__(self, record: TomographyRecord):
+        if float(record.counts.sum()) <= 0:
+            raise ValueError("record has no counts; likelihood is flat")
+        seen = record.counts > 0
+        self.kets = _joint_ket_stack([s for s, k in zip(record.settings, seen) if k])
+        self.counts = record.counts[seen]
+        self.total = float(self.counts.sum())
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        return np.einsum("ji,ji->j", self.kets.conj() @ rho, self.kets).real
+
+    def value(self, p: np.ndarray) -> float:
+        return float(self.counts @ np.log(np.maximum(p, PROB_FLOOR)))
+
+    def gradient(self, p: np.ndarray) -> np.ndarray:
+        """R = sum_j c_j / (N p_j) |v_j><v_j|, the gradient of ll / N; Tr(R rho) = 1."""
+        w = self.counts / (self.total * np.maximum(p, PROB_FLOOR))
+        return (self.kets.T * w) @ self.kets.conj()
+
+    def gain(self, rho: np.ndarray, p: np.ndarray, cand: np.ndarray) -> tuple[float, np.ndarray]:
+        """ll(cand) - ll(rho) and the probabilities of cand.
+
+        Both come from the exact difference cand - rho, and the gain is
+        taken of ll(sigma / Tr sigma). Subtracting two sums of size N log p
+        would lose every gain below ~N * 1e-16, and rounding in a
+        candidate's trace would shift ll by N times that rounding.
+        """
+        delta = cand - rho
+        dp = self.probabilities(delta)
+        new = p + dp
+        if min(p.min(), new.min()) > PROB_FLOOR:
+            logs = np.log1p(dp / p)
+        else:
+            logs = np.log(np.maximum(new, PROB_FLOOR)) - np.log(np.maximum(p, PROB_FLOOR))
+        trace_change = math.log1p(delta.trace().real / rho.trace().real)
+        return float(self.counts @ logs) - self.total * trace_change, new
+
+
+def _nearest_density(m: np.ndarray) -> np.ndarray:
+    """The unit-trace PSD matrix nearest to Hermitian m in Frobenius norm.
+
+    Projects the eigenvalues onto the probability simplex (Smolin, Gambetta
+    & Smith, PRL 108, 070502 (2012)).
+    """
+    w, v = np.linalg.eigh(m)
+    u = w[::-1]
+    excess = np.cumsum(u) - 1.0
+    k = np.nonzero(u * np.arange(1, len(u) + 1) > excess)[0][-1]
+    return (v * np.maximum(w - excess[k] / (k + 1), 0.0)) @ v.conj().T
+
+
+def _gradient_step(
+    like: _Likelihood, s: np.ndarray, ps: np.ndarray, rho: np.ndarray, p: np.ndarray, step: float
+) -> tuple[Step, float]:
+    """Projected gradient step N[s + t R(s)] from s; t halves until the ascent bound holds.
+
+    The bound is ll(c)/N >= ll(s)/N + <R, c - s> - |c - s|^2 / 2t. Returns
+    the step, with its gain over rho, and the step length t.
+    """
+    R = like.gradient(ps)
+    while True:
+        cand = _nearest_density(s + step * R)
+        gain, pc = like.gain(s, ps, cand)
+        d = cand - s
+        if step < 1e-30 or gain / like.total >= np.vdot(R, d).real - np.vdot(d, d).real / (2 * step):
+            break
+        step /= 2
+    if s is not rho:
+        gain, pc = like.gain(rho, p, cand)
+    return (cand, pc, gain), step
+
+
+def _rho_r_rho(like: _Likelihood, rho: np.ndarray, p: np.ndarray) -> Step:
+    """Multiplicative step N[R rho R]; R <- (I + R)/2 until it loses no likelihood."""
+    R = like.gradient(p)
+    eye = np.eye(len(rho))
+    for _halving in range(60):
+        cand = R @ rho @ R
+        cand = (cand + cand.conj().T) / 2
+        cand /= float(np.trace(cand).real)
+        gain, pc = like.gain(rho, p, cand)
+        if gain >= 0:
+            break
+        R = (eye + R) / 2
+    return cand, pc, gain
+
+
+def _newton_step(like: _Likelihood, rho: np.ndarray, p: np.ndarray) -> Step | None:
+    """Saddle-free Newton step on a factor of rho, or None when the factor is too big.
+
+    With rho = A A^dag, A of rank r = the numerical rank of rho, the step
+    maximizes F(A) = sum_j c_j log |A^dag v_j|^2 - N log |A|^2, which is
+    ll(A A^dag / Tr). Moving A both reweights rho inside its support and
+    tilts the support, so near a rank-deficient maximum the step is exact
+    to second order where gradient steps crawl. F is not concave in A, and
+    its gauge directions A -> A U are flat, so the Hessian's eigenvalues
+    enter by magnitude with a floor (Dauphin et al., NeurIPS 2014).
+    """
+    lam, U = np.linalg.eigh(rho)
+    keep = lam > RANK_RTOL * lam[-1]
+    n, r = len(lam), int(keep.sum())
+    if 2 * n * r > NEWTON_MAX_PARAMS:
+        return None
+    A = U[:, keep] * np.sqrt(lam[keep])
+    W = like.kets @ A.conj()
+    q = (np.abs(W) ** 2).sum(axis=1)
+    live = q > PROB_FLOOR  # the floored terms of ll are flat in A
+    kets, W, q, c, N = like.kets[live], W[live], q[live], like.counts[live], like.total
+    M = (kets[:, :, None] * W.conj()[:, None, :]).reshape(len(q), n * r)
+    J = 2 * np.concatenate([M.real, M.imag], axis=1)
+    x = np.concatenate([A.real.ravel(), A.imag.ravel()])
+    norm2 = float(x @ x)
+    grad = J.T @ (c / q) - 2 * N * x / norm2
+    K = np.kron((kets.T * (c / q)) @ kets.conj(), np.eye(r))
+    hess = -(J.T * (c / q**2)) @ J + 2 * np.block([[K.real, -K.imag], [K.imag, K.real]])
+    hess -= N * (2 * np.eye(len(x)) / norm2 - 4 * np.outer(x, x) / norm2**2)
+    w, Q = np.linalg.eigh(hess)
+    dx = Q @ ((Q.T @ grad) / np.maximum(np.abs(w), 1e-6 * np.abs(w).max()))
+    B = A + (dx[: n * r] + 1j * dx[n * r :]).reshape(n, r)
+    cand = B @ B.conj().T
+    cand /= float(np.trace(cand).real)
+    gain, pc = like.gain(rho, p, cand)
+    return cand, pc, gain
 
 
 def reconstruct_mle(
@@ -321,45 +458,69 @@ def reconstruct_mle(
     max_iter: int = 10000,
     return_history: bool = False,
 ) -> DensityMatrix | tuple[DensityMatrix, list[float]]:
-    """Maximum-likelihood reconstruction via the multiplicative fixed point.
+    """Maximum-likelihood reconstruction by an accelerated, monotone ascent.
 
-    Iterates rho <- N[R rho R] with R = sum_j (f_j / p_j(rho)) Pi_j from the
-    maximally mixed start; every iterate is PSD with unit trace by
-    construction. R is rescaled by sum_j f_j so that, should a step ever
-    lower the log-likelihood, damping R <- (I + R)/2 pulls it back toward
-    the identity; accepted iterates are therefore monotone. Stops when the
-    count-weighted log-likelihood sum_j c_j log p_j gains less than tol,
-    or warns and returns the best iterate after max_iter.
+    Maximizes ll(rho) = sum_j c_j log p_j(rho) over density matrices from
+    the maximally mixed start. Each iteration takes the best of:
 
-    With return_history=True also returns the accepted log-likelihood
-    values, one per iteration including the starting point.
+    - an accelerated projected gradient step (Nesterov momentum, restarted
+      whenever the momentum step gains less than tol), projected onto the
+      density matrices by the Smolin-Gambetta-Smith eigenvalue simplex
+      projection, so eigenvalues can reach zero and regrow (Shang, Zhang &
+      Ng, PRA 95, 062336 (2017));
+    - on restart, also the multiplicative rho <- N[R rho R] step, damped
+      toward the identity until it loses no likelihood (Rehacek, Hradil,
+      Knill & Lvovsky, PRA 75, 042108 (2007)), which is well scaled for
+      small but nonzero eigenvalues;
+    - once a step gains less than POLISH_GAIN, a saddle-free Newton step
+      on a factor of rho, which converges where first-order steps crawl.
+
+    A step that loses likelihood is never taken, so accepted iterates are
+    monotone. Stops when an accepted step gains less than tol, or warns
+    and returns the last iterate after max_iter.
+
+    With return_history=True also returns the accepted log-likelihoods,
+    one per iteration including the starting point. Each entry after the
+    first adds its step's gain, computed from the change in the
+    probabilities, so gains far below the rounding of ll itself (~N * 1e-16
+    for N counts) still resolve.
     """
+    like = _Likelihood(record)
     n = record.dim_a * record.dim_b
-    V = _joint_ket_stack(record.settings)
-    counts = record.counts
-    fsum = float(frequencies(record).sum())
-    if fsum <= 0:
-        raise ValueError("record has no counts; likelihood is flat")
-
-    eye = np.eye(n)
-    rho = eye.astype(complex) / n
-    history = [_log_likelihood(V, counts, rho)]
-    converged = False
+    rho = np.eye(n, dtype=complex) / n
+    p = like.probabilities(rho)
+    history = [like.value(p)]
+    prev_rho, prev_p = rho, p
+    momentum, step, polish = 1.0, 1.0, False
+    converged, gain = False, 0.0
     for _ in range(max_iter):
-        p = np.maximum(np.einsum("ji,ik,jk->j", V.conj(), rho, V).real, PROB_FLOOR)
-        step = ((V.T * (counts / p)) @ V.conj()) / counts.sum()
-        cand = None
-        for _halving in range(60):
-            cand = step @ rho @ step
-            cand = (cand + cand.conj().T) / 2
-            cand /= float(np.trace(cand).real)
-            ll = _log_likelihood(V, counts, cand)
-            if ll >= history[-1] - 1e-12:
-                break
-            step = (eye + step) / 2
-        gain = ll - history[-1]
-        rho = cand
-        history.append(ll)
+        next_momentum = (1 + math.sqrt(1 + 4 * momentum * momentum)) / 2
+        beta = (momentum - 1) / next_momentum
+        best = None
+        if beta > 0:
+            s, ps = rho + beta * (rho - prev_rho), p + beta * (p - prev_p)
+            if ps.min() > 0:
+                best, step = _gradient_step(like, s, ps, rho, p, step)
+            if best is None or best[2] < tol:
+                best, next_momentum = None, 1.0
+        if best is None:
+            best, step = _gradient_step(like, rho, p, rho, p, step)
+            best = max(best, _rho_r_rho(like, rho, p), key=lambda c: c[2])
+        newton = None
+        if polish or best[2] < POLISH_GAIN:
+            polish = True
+            newton = _newton_step(like, rho, p)
+            if newton is not None and newton[2] > best[2]:
+                best = newton
+        cand, pc, gain = best
+        if not gain >= tol:
+            # Converged. A Newton step that loses nothing lands closest to
+            # the maximum; the others are not taken.
+            cand, pc, gain = newton if newton is not None and newton[2] >= 0 else (rho, p, 0.0)
+        prev_rho, prev_p, rho, p = rho, p, cand, pc
+        momentum = next_momentum
+        step = min(2 * step, STEP_MAX)
+        history.append(history[-1] + gain)
         if gain < tol:
             converged = True
             break
@@ -518,22 +679,27 @@ def record_to_dict(record: TomographyRecord) -> dict:
 
 
 def record_from_dict(obj: dict) -> TomographyRecord:
-    settings = tuple(
-        ProjectorSetting(
-            arm_a=np.array([complex(re, im) for re, im in s["a"]]),
-            arm_b=np.array([complex(re, im) for re, im in s["b"]]),
-            label_a=s.get("label_a", ""),
-            label_b=s.get("label_b", ""),
+    if not isinstance(obj.get("settings"), list):
+        raise ValueError("field 'settings' must be a list of setting objects")
+    settings = []
+    for i, s in enumerate(obj["settings"]):
+        if not isinstance(s, dict):
+            raise ValueError(f"settings[{i}] must be an object with kets 'a' and 'b'")
+        settings.append(
+            ProjectorSetting(
+                arm_a=parse_complex_list(s["a"], f"settings[{i}].a"),
+                arm_b=parse_complex_list(s["b"], f"settings[{i}].b"),
+                label_a=s.get("label_a", ""),
+                label_b=s.get("label_b", ""),
+            )
         )
-        for s in obj["settings"]
-    )
     return TomographyRecord(
-        dim_a=int(obj["dimA"]),
-        dim_b=int(obj["dimB"]),
-        rate_hz=float(obj["rate_hz"]),
-        integration_time_s=float(obj["integration_time_s"]),
-        settings=settings,
-        counts=np.array(obj["counts"], dtype=float),
+        dim_a=parse_field(obj, "dimA", int),
+        dim_b=parse_field(obj, "dimB", int),
+        rate_hz=parse_field(obj, "rate_hz", float),
+        integration_time_s=parse_field(obj, "integration_time_s", float),
+        settings=tuple(settings),
+        counts=parse_field(obj, "counts", lambda c: np.array(c, dtype=float)),
         seed=obj.get("seed"),
     )
 

@@ -64,6 +64,31 @@ def test_measure_invalid_file_nonzero_exit(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_witness_malformed_density_entry_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"type": "density", "dimA": 2, "dimB": 2, "data": [[1, 2]]}')
+    assert main(["witness", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: data[0] must be a list of [re, im] pairs\n"
+
+
+def test_witness_non_object_file_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    assert main(["witness", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: a state must be a JSON object, got a list\n"
+
+
+def test_witness_malformed_record_setting_is_an_error(tmp_path, max_qutrit_file, capsys):
+    record = tmp_path / "record.json"
+    assert main(["simulate", max_qutrit_file, "--time-s", "1", "--out", str(record)]) == 0
+    obj = json.loads(record.read_text())
+    obj["settings"][3]["a"] = 5
+    record.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["witness", str(record)]) == 1
+    assert capsys.readouterr().err == "error: settings[3].a must be a list of [re, im] pairs\n"
+
+
 def test_sweep_endpoints_and_header(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--grid-n", "4", "--out", str(out)]) == 0

@@ -11,6 +11,7 @@ from pconcurrence.states import (
     SpdcParams,
     density_from_ket,
     make_max_entangled,
+    make_spdc_qudit,
     make_spdc_qutrit,
     validate_density,
 )
@@ -31,7 +32,7 @@ from pconcurrence.tomography import (
     reconstruct_mle,
     simulate_counts,
 )
-from pconcurrence.witness import IndexPair, project_subspace
+from pconcurrence.witness import IndexPair, project_subspace, sector_pairs
 
 BELL = make_max_entangled(2)
 QUTRIT = make_max_entangled(3)
@@ -203,14 +204,52 @@ def test_reconstruct_linear_design_rank():
     assert np.linalg.matrix_rank(design) == 16
 
 
+def hermitian_basis(n):
+    """The n^2 basis matrices of _design_matrix, written out literally."""
+    mats = []
+    for i in range(n):
+        m = np.zeros((n, n), dtype=complex)
+        m[i, i] = 1.0
+        mats.append(m)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[i, j] = m[j, i] = 1.0
+            mats.append(m)
+            m = np.zeros((n, n), dtype=complex)
+            m[i, j] = -1.0j
+            m[j, i] = 1.0j
+            mats.append(m)
+    return mats
+
+
 def test_design_matrix_matches_basis_definition():
     # columnwise fast path agrees with the literal <v|G|v> evaluation
-    from pconcurrence.tomography import _design_matrix, _hermitian_basis, _joint_ket_stack
+    from pconcurrence.tomography import _design_matrix, _joint_ket_stack
 
     V = _joint_ket_stack(tuple(bell_settings()[:7]))
     fast = _design_matrix(V, 4)
-    slow = np.array([[(v.conj() @ g @ v).real for g in _hermitian_basis(4)] for v in V])
+    slow = np.array([[(v.conj() @ g @ v).real for g in hermitian_basis(4)] for v in V])
     assert np.abs(fast - slow).max() < 1e-12
+
+
+def test_hermitian_coefficients_scatter_matches_basis_sum():
+    # the entrywise scatter equals the explicit basis sum bit for bit, signed zeros included
+    from pconcurrence.tomography import _hermitian_from_coefficients
+
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 4, 9):
+        coeff = rng.normal(size=n * n) * rng.choice([1.0, 0.0, -0.0], size=n * n)
+        explicit = sum(c * g for c, g in zip(coeff, hermitian_basis(n)))
+        assert _hermitian_from_coefficients(coeff, n).tobytes() == explicit.tobytes()
+
+
+def test_joint_ket_stack_matches_kron():
+    from pconcurrence.tomography import _joint_ket_stack
+
+    settings = joint_settings(pairwise_overcomplete_kets(3), mub_kets(3))
+    stack = _joint_ket_stack(settings)
+    assert stack.tobytes() == np.array([np.kron(s.arm_a, s.arm_b) for s in settings]).tobytes()
 
 
 def test_reconstruct_linear_rejects_rank_deficient():
@@ -258,6 +297,56 @@ def test_reconstruct_mle_nonconvergence_warns():
     record = noiseless_record(BELL, bell_settings())
     with pytest.warns(RuntimeWarning, match="did not converge"):
         reconstruct_mle(record, tol=0.0, max_iter=5)
+
+
+def likelihood_certificate(record, rho):
+    """N (lambda_max(R) - 1), an upper bound on ll* - ll(rho) for any solver.
+
+    ll is concave, so ll(sigma) <= ll(rho) + N Tr(R (sigma - rho)) with
+    R = sum_j c_j / (N p_j) |v_j><v_j| and Tr(R rho) = 1; the maximum over
+    density matrices sigma of Tr(R sigma) is lambda_max(R).
+    """
+    seen = record.counts > 0
+    kets = np.array([np.kron(s.arm_a, s.arm_b) for s, k in zip(record.settings, seen) if k])
+    counts = record.counts[seen]
+    total = counts.sum()
+    p = np.einsum("ji,ik,jk->j", kets.conj(), rho.matrix, kets).real
+    R = (kets.T * (counts / p)) @ kets.conj() / total
+    return total * (np.linalg.eigvalsh(R)[-1] - 1.0)
+
+
+# Decay bands per counting time: near-uniform states at 1 and 10 s, and far
+# from uniform at 1000 s, where the fits end on rank-deficient maxima.
+MLE_DECAYS = {1.0: (5.5, 6.5), 10.0: (5.5, 6.5), 100.0: (3.5, 4.5), 1000.0: (0.75, 0.85)}
+
+
+def qutrit_records():
+    kets = pairwise_overcomplete_kets(3)
+    settings = joint_settings(kets, kets)
+    for time_s, (lo, hi) in MLE_DECAYS.items():
+        for seed, decay in enumerate((lo, (lo + hi) / 2, hi)):
+            rho = density_from_ket(make_spdc_qudit(3, decay))
+            yield simulate_counts(rho, settings, 1000.0, time_s, seed=seed)
+
+
+def ququart_sector_records():
+    kets = pairwise_overcomplete_kets(4)
+    settings = joint_settings(kets, kets)
+    for seed, decay in enumerate((2.5, 2.75, 3.0)):
+        record = simulate_counts(density_from_ket(make_spdc_qudit(4, decay)), settings, 1000.0, 10.0, seed=seed)
+        for a, b in sector_pairs(4):
+            sub = extract_sub_tomography(record, a, b)
+            if sub.counts.sum() > 0:
+                yield sub
+
+
+@pytest.mark.parametrize("records", [qutrit_records, ququart_sector_records])
+def test_mle_reaches_the_maximum(records):
+    for record in records():
+        rho, history = reconstruct_mle(record, return_history=True)
+        assert len(history) - 1 <= 500
+        assert all(history[i + 1] >= history[i] - 1e-9 for i in range(len(history) - 1))
+        assert likelihood_certificate(record, rho) <= 1e-3
 
 
 def test_extract_sub_tomography_counts_and_shape():
