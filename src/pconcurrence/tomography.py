@@ -44,7 +44,7 @@ class ProjectorSetting:
         for name, arm in (("arm_a", self.arm_a), ("arm_b", self.arm_b)):
             v = np.asarray(arm, dtype=complex)
             object.__setattr__(self, name, v)
-            if abs(float(np.vdot(v, v).real) - 1.0) > 1e-10:
+            if not abs(float(np.vdot(v, v).real) - 1.0) <= 1e-10:  # NaN fails too
                 raise ValueError(f"{name} is not normalized")
 
 
@@ -69,10 +69,20 @@ class TomographyRecord:
         c = np.asarray(self.counts, dtype=float)
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "settings", tuple(self.settings))
+        if not self.settings:
+            raise ValueError("a record needs at least one setting")
+        if c.ndim != 1:
+            raise ValueError("counts must be a flat list of numbers")
         if len(c) != len(self.settings):
             raise ValueError(f"{len(c)} counts for {len(self.settings)} settings")
-        if (c < 0).any():
-            raise ValueError("counts must be nonnegative")
+        if not (np.isfinite(c) & (c >= 0)).all():
+            raise ValueError("counts must be finite and nonnegative")
+        shape_a, shape_b = (self.dim_a,), (self.dim_b,)
+        for i, s in enumerate(self.settings):
+            if s.arm_a.shape != shape_a:
+                raise ValueError(f"settings[{i}].a has {s.arm_a.size} entries, expected dimA = {self.dim_a}")
+            if s.arm_b.shape != shape_b:
+                raise ValueError(f"settings[{i}].b has {s.arm_b.size} entries, expected dimB = {self.dim_b}")
 
 
 @dataclass(frozen=True)
@@ -192,15 +202,27 @@ def _joint_ket_stack(settings: tuple[ProjectorSetting, ...] | list[ProjectorSett
     return (a[:, :, None] * b[:, None, :]).reshape(len(settings), -1)
 
 
+def born_probabilities(rho: DensityMatrix, settings: Sequence[ProjectorSetting]) -> np.ndarray:
+    """Tr(rho |a><a| x |b><b|) for every joint setting, clipped into [0, 1].
+
+    Each entry is vdot(v, rho v) on its own row v of the ket stack, bit-equal
+    to the one-setting evaluation on kron(a, b); a stacked matrix product
+    rounds differently, which would shift Poisson draws and exact means.
+    """
+    kets = _joint_ket_stack(settings)
+    if kets.shape[1] != rho.dim:
+        raise ValueError(f"setting dimension {kets.shape[1]} does not match state {rho.dim}")
+    m = rho.matrix
+    p = np.array([np.vdot(v, m @ v).real for v in kets])
+    outside = (p < -1e-12) | (p > 1.0 + 1e-12)
+    if outside.any():
+        raise ValueError(f"Born probability {float(p[outside][0])!r} outside [0, 1]")
+    return np.clip(p, 0.0, 1.0) + 0.0  # + 0.0: no -0.0 probabilities or exact means
+
+
 def born_probability(rho: DensityMatrix, s: ProjectorSetting) -> float:
     """Tr(rho |a><a| x |b><b|) for one joint setting."""
-    v = np.kron(s.arm_a, s.arm_b)
-    if v.shape[0] != rho.dim:
-        raise ValueError(f"setting dimension {v.shape[0]} does not match state {rho.dim}")
-    p = float(np.vdot(v, rho.matrix @ v).real)
-    if p < -1e-12 or p > 1.0 + 1e-12:
-        raise ValueError(f"Born probability {p!r} outside [0, 1]")
-    return min(1.0, max(0.0, p))
+    return float(born_probabilities(rho, [s])[0])
 
 
 def simulate_counts(
@@ -221,15 +243,13 @@ def simulate_counts(
     if rate_hz <= 0 or integration_time_s <= 0:
         raise ValueError("rate_hz and integration_time_s must be positive")
     scale = rate_hz * integration_time_s
-    means = np.array([scale * born_probability(rho, s) for s in settings])
+    means = scale * born_probabilities(rho, settings)
     if poisson:
         base = np.random.SeedSequence().entropy if seed is None else seed
-        counts = np.array(
-            [
-                float(np.random.default_rng(np.random.SeedSequence(entropy=base, spawn_key=(i,))).poisson(mu))
-                for i, mu in enumerate(means)
-            ]
-        )
+        counts = np.zeros(len(means))
+        for i in np.flatnonzero(means):  # a zero mean draws 0 without its stream
+            stream = np.random.SeedSequence(entropy=base, spawn_key=(int(i),))
+            counts[i] = np.random.default_rng(stream).poisson(means[i])
     else:
         counts = means
     return TomographyRecord(
@@ -540,61 +560,78 @@ def reconstruct_mle(
 # --- qubit sub-tomography ---------------------------------------------------
 
 
-def _supported_restriction(ket: np.ndarray, lo: int, hi: int) -> np.ndarray | None:
-    """Restrict a ket to indices (lo, hi) if it has no weight elsewhere."""
-    rest = np.abs(ket) ** 2
-    inside = rest[lo] + rest[hi]
-    if rest.sum() - inside > SUPPORT_ATOL:
-        return None
-    sub = np.array([ket[lo], ket[hi]])
-    return sub / math.sqrt(inside)
+def _arm_restrictions(kets: np.ndarray, pairs: set[IndexPair]) -> dict[IndexPair, tuple[np.ndarray, np.ndarray]]:
+    """Per index pair: which arm kets live on span{|lo>, |hi>}, and those kets restricted.
+
+    kets is the (m, d) stack of one arm. For each pair the mask marks the
+    kets with at most SUPPORT_ATOL of |ket|^2 outside (lo, hi); their rows of
+    the (m, 2) restriction hold (ket[lo], ket[hi]) / sqrt(inside), the
+    other rows are zero.
+    """
+    weight = np.abs(kets) ** 2
+    total = weight.sum(axis=1)
+    out = {}
+    for pair in pairs:
+        inside = weight[:, pair.lo] + weight[:, pair.hi]
+        keep = ~(total - inside > SUPPORT_ATOL)
+        sub = np.zeros((len(kets), 2), dtype=complex)
+        sub[keep] = kets[keep][:, [pair.lo, pair.hi]] / np.sqrt(inside[keep])[:, None]
+        out[pair] = keep, sub
+    return out
+
+
+def sector_records(
+    record: TomographyRecord, pairs: Sequence[tuple[IndexPair, IndexPair]]
+) -> list[TomographyRecord]:
+    """Filter a qudit record down to each two-qubit sector (a on arm A, b on arm B).
+
+    A sector keeps, in record order, the settings whose arm-A ket lives on
+    span{|a.lo>, |a.hi>} and whose arm-B ket lives on span{|b.lo>, |b.hi>},
+    re-expressed in subspace coordinates (lo -> 0, hi -> 1). Counts and
+    labels pass through unmodified. The |ket|^2 tables of each arm are
+    computed once, so a sector is one boolean mask over the settings.
+    Pairwise-overcomplete records yield exactly 36 settings per sector.
+    """
+    for a, b in pairs:
+        if a.hi >= record.dim_a or b.hi >= record.dim_b:
+            raise ValueError(
+                f"pair indices ({a.lo},{a.hi})x({b.lo},{b.hi}) exceed dims ({record.dim_a}, {record.dim_b})"
+            )
+    arms_a = _arm_restrictions(np.array([s.arm_a for s in record.settings]), {a for a, _ in pairs})
+    arms_b = _arm_restrictions(np.array([s.arm_b for s in record.settings]), {b for _, b in pairs})
+    records = []
+    for a, b in pairs:
+        (keep_a, sub_a), (keep_b, sub_b) = arms_a[a], arms_b[b]
+        kept = np.flatnonzero(keep_a & keep_b)
+        settings = tuple(
+            ProjectorSetting(sub_a[j], sub_b[j], record.settings[j].label_a, record.settings[j].label_b)
+            for j in kept
+        )
+        rank = int(np.linalg.matrix_rank(_design_matrix(_joint_ket_stack(settings), 4))) if settings else 0
+        if rank < 16:
+            raise ValueError(
+                f"only {len(settings)} settings (rank {rank}) remain on subspace "
+                f"({a.lo},{a.hi})x({b.lo},{b.hi}); 16 independent settings are needed"
+            )
+        records.append(
+            TomographyRecord(
+                dim_a=2,
+                dim_b=2,
+                rate_hz=record.rate_hz,
+                integration_time_s=record.integration_time_s,
+                settings=settings,
+                counts=record.counts[kept],
+                seed=record.seed,
+            )
+        )
+    return records
 
 
 def extract_sub_tomography(
     record: TomographyRecord, a: IndexPair, b: IndexPair
 ) -> TomographyRecord:
-    """Filter a qudit record down to one two-qubit sector.
-
-    Keeps the settings whose arm-A ket lives on span{|a.lo>, |a.hi>} and
-    whose arm-B ket lives on span{|b.lo>, |b.hi>}, re-expressed in
-    subspace coordinates (lo -> 0, hi -> 1). Counts pass through
-    unmodified. Pairwise-overcomplete records yield exactly 36 settings.
-    """
-    if a.hi >= record.dim_a or b.hi >= record.dim_b:
-        raise ValueError(
-            f"pair indices ({a.lo},{a.hi})x({b.lo},{b.hi}) exceed dims ({record.dim_a}, {record.dim_b})"
-        )
-    kept_settings = []
-    kept_counts = []
-    for setting, count in zip(record.settings, record.counts):
-        sub_a = _supported_restriction(setting.arm_a, a.lo, a.hi)
-        if sub_a is None:
-            continue
-        sub_b = _supported_restriction(setting.arm_b, b.lo, b.hi)
-        if sub_b is None:
-            continue
-        kept_settings.append(ProjectorSetting(sub_a, sub_b, setting.label_a, setting.label_b))
-        kept_counts.append(count)
-
-    if kept_settings:
-        design = _design_matrix(_joint_ket_stack(kept_settings), 4)
-        rank = int(np.linalg.matrix_rank(design))
-    else:
-        rank = 0
-    if rank < 16:
-        raise ValueError(
-            f"only {len(kept_settings)} settings (rank {rank}) remain on subspace "
-            f"({a.lo},{a.hi})x({b.lo},{b.hi}); 16 independent settings are needed"
-        )
-    return TomographyRecord(
-        dim_a=2,
-        dim_b=2,
-        rate_hz=record.rate_hz,
-        integration_time_s=record.integration_time_s,
-        settings=tuple(kept_settings),
-        counts=np.array(kept_counts),
-        seed=record.seed,
-    )
+    """One sector of sector_records: the settings on span{|a.lo>, |a.hi>} x span{|b.lo>, |b.hi>}."""
+    return sector_records(record, [(a, b)])[0]
 
 
 def sector_estimates(
@@ -608,8 +645,7 @@ def sector_estimates(
     """
     states = np.zeros((len(pairs), 4, 4), dtype=complex)
     weights = np.zeros(len(pairs))
-    for i, (a, b) in enumerate(pairs):
-        sub_record = extract_sub_tomography(record, a, b)
+    for i, sub_record in enumerate(sector_records(record, pairs)):
         weights[i] = frequencies(sub_record).sum() / 9.0
         if weights[i] >= WEIGHT_FLOOR:
             states[i] = reconstruct_mle(sub_record).matrix
@@ -654,17 +690,26 @@ def _ket_pairs(v: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in v]
 
 
-def record_to_dict(record: TomographyRecord) -> dict:
-    counts = [
-        int(c) if float(c).is_integer() else float(c)  # Poisson draws are integral
-        for c in record.counts
-    ]
+def _record_head(record: TomographyRecord) -> dict:
     return {
         "dimA": record.dim_a,
         "dimB": record.dim_b,
         "rate_hz": float(record.rate_hz),
         "integration_time_s": float(record.integration_time_s),
         "seed": record.seed,
+    }
+
+
+def _count_values(record: TomographyRecord) -> list[int | float]:
+    return [
+        int(c) if float(c).is_integer() else float(c)  # Poisson draws are integral
+        for c in record.counts
+    ]
+
+
+def record_to_dict(record: TomographyRecord) -> dict:
+    return {
+        **_record_head(record),
         "settings": [
             {
                 "a": _ket_pairs(s.arm_a),
@@ -674,7 +719,7 @@ def record_to_dict(record: TomographyRecord) -> dict:
             }
             for s in record.settings
         ],
-        "counts": counts,
+        "counts": _count_values(record),
     }
 
 
@@ -685,12 +730,19 @@ def record_from_dict(obj: dict) -> TomographyRecord:
     for i, s in enumerate(obj["settings"]):
         if not isinstance(s, dict):
             raise ValueError(f"settings[{i}] must be an object with kets 'a' and 'b'")
+        try:
+            a, b = s["a"], s["b"]
+        except KeyError as exc:
+            raise ValueError(f"settings[{i}] has no ket {exc.args[0]!r}") from None
+        label_a, label_b = s.get("label_a", ""), s.get("label_b", "")
+        if not (isinstance(label_a, str) and isinstance(label_b, str)):
+            raise ValueError(f"settings[{i}] labels must be strings")
         settings.append(
             ProjectorSetting(
-                arm_a=parse_complex_list(s["a"], f"settings[{i}].a"),
-                arm_b=parse_complex_list(s["b"], f"settings[{i}].b"),
-                label_a=s.get("label_a", ""),
-                label_b=s.get("label_b", ""),
+                arm_a=parse_complex_list(a, f"settings[{i}].a"),
+                arm_b=parse_complex_list(b, f"settings[{i}].b"),
+                label_a=label_a,
+                label_b=label_b,
             )
         )
     return TomographyRecord(
@@ -704,8 +756,51 @@ def record_from_dict(obj: dict) -> TomographyRecord:
     )
 
 
+def _nested_json(value, level: int) -> str:
+    """json.dumps(value, indent=2) as it reads `level` levels deep in an indented document."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+
+
 def save_record(path: str | Path, record: TomographyRecord) -> None:
-    Path(path).write_text(json.dumps(record_to_dict(record), indent=2) + "\n", encoding="utf-8")
+    """Write the bytes of json.dumps(record_to_dict(record), indent=2) + "\n".
+
+    json encodes indented output in pure Python, and a record repeats each
+    arm ket across many settings (45 distinct kets per arm in the 2025
+    settings of a d = 5 pairwise record). So each distinct ket and label is
+    encoded once, at the depth of a setting field, and the settings are
+    assembled from those fragments around the indented layout below.
+    """
+    kets: dict[bytes, str] = {}
+    labels: dict[str, str] = {}
+
+    def ket(v: np.ndarray) -> str:
+        key = v.tobytes()
+        if key not in kets:
+            kets[key] = _nested_json(_ket_pairs(v), 3)
+        return kets[key]
+
+    def label(x: str) -> str:
+        if x not in labels:
+            labels[x] = _nested_json(x, 3)
+        return labels[x]
+
+    settings = [
+        '{\n      "a": ' + ket(s.arm_a)
+        + ',\n      "b": ' + ket(s.arm_b)
+        + ',\n      "label_a": ' + label(s.label_a)
+        + ',\n      "label_b": ' + label(s.label_b)
+        + "\n    }"
+        for s in record.settings
+    ]
+    text = (
+        json.dumps(_record_head(record), indent=2)[: -len("\n}")]
+        + ',\n  "settings": [\n    '
+        + ",\n    ".join(settings)
+        + '\n  ],\n  "counts": '
+        + _nested_json(_count_values(record), 1)
+        + "\n}\n"
+    )
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_record(path: str | Path) -> TomographyRecord:

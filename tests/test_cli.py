@@ -89,6 +89,64 @@ def test_witness_malformed_record_setting_is_an_error(tmp_path, max_qutrit_file,
     assert capsys.readouterr().err == "error: settings[3].a must be a list of [re, im] pairs\n"
 
 
+def _drop_ket_a(obj):
+    del obj["settings"][3]["a"]
+
+
+def _short_ket_a(obj):
+    obj["settings"][3]["a"] = [[1.0, 0.0], [0.0, 0.0]]
+
+
+def _ragged_ket_b(obj):
+    obj["settings"][3]["b"].append([0.0, 0.0])
+
+
+def _no_settings(obj):
+    obj["settings"], obj["counts"] = [], []
+
+
+def _scalar_counts(obj):
+    obj["counts"] = 5
+
+
+def _nested_counts(obj):
+    obj["counts"] = [[c] for c in obj["counts"]]
+
+
+def _nan_count(obj):
+    obj["counts"][5] = float("nan")
+
+
+def _infinite_count(obj):
+    obj["counts"][5] = float("inf")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_ket_a, "settings[3] has no ket 'a'"),
+        (_short_ket_a, "settings[3].a has 2 entries, expected dimA = 3"),
+        (_ragged_ket_b, "settings[3].b has 4 entries, expected dimB = 3"),
+        (_no_settings, "a record needs at least one setting"),
+        (_scalar_counts, "counts must be a flat list of numbers"),
+        (_nested_counts, "counts must be a flat list of numbers"),
+        (_nan_count, "counts must be finite and nonnegative"),
+        (_infinite_count, "counts must be finite and nonnegative"),
+    ],
+)
+@pytest.mark.parametrize("command", ["witness", "reconstruct"])
+def test_malformed_record_is_an_error(tmp_path, max_qutrit_file, capsys, edit, message, command):
+    record = tmp_path / "record.json"
+    assert main(["simulate", max_qutrit_file, "--time-s", "1", "--out", str(record)]) == 0
+    obj = json.loads(record.read_text())
+    edit(obj)
+    record.write_text(json.dumps(obj))  # NaN and Infinity are written as json reads them
+    capsys.readouterr()
+    argv = [command, str(record)] + (["--out", str(tmp_path / "out.json")] if command == "reconstruct" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_sweep_endpoints_and_header(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--grid-n", "4", "--out", str(out)]) == 0

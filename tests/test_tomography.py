@@ -22,6 +22,7 @@ from pconcurrence.tomography import (
     budget_to_dict,
     extract_sub_tomography,
     joint_settings,
+    mub_ket_labels,
     mub_kets,
     pairwise_ket_labels,
     pairwise_overcomplete_kets,
@@ -30,6 +31,8 @@ from pconcurrence.tomography import (
     record_to_dict,
     reconstruct_linear,
     reconstruct_mle,
+    save_record,
+    sector_records,
     simulate_counts,
 )
 from pconcurrence.witness import IndexPair, project_subspace, sector_pairs
@@ -51,6 +54,25 @@ def qutrit_settings():
 
 def noiseless_record(state, settings, scale=1e4):
     return simulate_counts(density_from_ket(state), settings, rate_hz=scale, integration_time_s=1.0, poisson=False)
+
+
+def random_density(d, rank, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d * d, rank)) + 1j * rng.normal(size=(d * d, rank))
+    m = g @ g.conj().T
+    return validate_density(m / np.trace(m).real, (d, d))
+
+
+def setting_sets():
+    """(name, d, settings): pairwise d = 2..5, MUB d = 2, 3, 5 and the qubit36 set."""
+    for d in (2, 3, 4, 5):
+        yield f"pairwise{d}", d, joint_settings(
+            pairwise_overcomplete_kets(d), pairwise_overcomplete_kets(d), pairwise_ket_labels(d), pairwise_ket_labels(d)
+        )
+    for d in (2, 3, 5):
+        labels = mub_ket_labels(d)
+        yield f"mub{d}", d, joint_settings(mub_kets(d), mub_kets(d), labels, labels)
+    yield "qubit36", 2, bell_settings()
 
 
 def test_qubit_setting_kets():
@@ -176,6 +198,38 @@ def test_simulate_streams_split_per_setting_index():
     full = simulate_counts(rho, settings, 1e3, 10.0, seed=4)
     head = simulate_counts(rho, settings[:10], 1e3, 10.0, seed=4)
     assert np.array_equal(full.counts[:10], head.counts)
+
+
+def test_simulated_means_and_counts_match_per_setting_kron_vdot():
+    # bit-equal to the per-setting evaluation vdot(kron(a, b), rho kron(a, b)) clipped into [0, 1],
+    # and to one Poisson stream per (seed, setting index)
+    for name, d, settings in setting_sets():
+        for rho in (random_density(d, 2, d), density_from_ket(make_spdc_qudit(d, 1.5))):
+            probs = []
+            for s in settings:
+                v = np.kron(s.arm_a, s.arm_b)
+                probs.append(min(1.0, max(0.0, float(np.vdot(v, rho.matrix @ v).real))))
+            means = np.array([1e3 * 10.0 * p for p in probs])
+            exact = simulate_counts(rho, settings, 1e3, 10.0, poisson=False)
+            assert exact.counts.tobytes() == means.tobytes(), name
+            drawn = simulate_counts(rho, settings, 1e3, 10.0, seed=17)
+            streams = [np.random.SeedSequence(entropy=17, spawn_key=(i,)) for i in range(len(means))]
+            counts = np.array([float(np.random.default_rng(st).poisson(mu)) for st, mu in zip(streams, means)])
+            assert drawn.counts.tobytes() == counts.tobytes(), name
+            for j in (0, len(settings) // 2, len(settings) - 1):
+                assert born_probability(rho, settings[j]) == probs[j]
+
+
+def test_born_probability_checks_dimension_and_range():
+    from pconcurrence.tomography import ProjectorSetting
+
+    ket = np.array([1, 0], dtype=complex)
+    with pytest.raises(ValueError, match="setting dimension 4 does not match state 9"):
+        born_probability(density_from_ket(QUTRIT), ProjectorSetting(ket, ket))
+    rho = density_from_ket(BELL)
+    object.__setattr__(rho, "matrix", 3 * rho.matrix)  # past the DensityMatrix gate
+    with pytest.raises(ValueError, match="outside"):
+        born_probability(rho, ProjectorSetting(ket, ket))
 
 
 def test_simulate_rejects_bad_rate():
@@ -380,6 +434,62 @@ def test_extract_commutes_with_projection():
         assert uhlmann_fidelity(rho2, expected) >= 0.999
 
 
+def per_setting_sector(record, a, b):
+    """The sector filter written one setting at a time: (kets A, kets B, labels, counts)."""
+
+    def restrict(ket, pair):
+        weight = np.abs(ket) ** 2
+        inside = weight[pair.lo] + weight[pair.hi]
+        if weight.sum() - inside > 1e-12:
+            return None
+        return np.array([ket[pair.lo], ket[pair.hi]]) / math.sqrt(inside)
+
+    kept = []
+    for s, count in zip(record.settings, record.counts):
+        sub_a, sub_b = restrict(s.arm_a, a), restrict(s.arm_b, b)
+        if sub_a is not None and sub_b is not None:
+            kept.append((sub_a, sub_b, (s.label_a, s.label_b), count))
+    return tuple(np.array(column) for column in zip(*kept))
+
+
+def mixed_record():
+    """d = 3 settings in shuffled order, many of them outside every sector."""
+    rng = np.random.default_rng(8)
+    leaks = []
+    for outside in (1e-7, 1e-5):  # |amplitude|^2 outside ~1e-14 (kept) and ~1e-10 (dropped)
+        for lo, hi in itertools.combinations(range(3), 2):
+            v = np.full(3, outside, dtype=complex)
+            v[[lo, hi]] = rng.normal(size=2) + 1j * rng.normal(size=2)
+            leaks.append(v / np.linalg.norm(v))
+    kets = pairwise_overcomplete_kets(3) + mub_kets(3)[3:] + leaks
+    labels = [f"k{i}" for i in range(len(kets))]
+    settings = joint_settings(kets, kets, labels, labels)
+    order = rng.permutation(len(settings))
+    settings = tuple(settings[i] for i in order)
+    return TomographyRecord(3, 3, 1e3, 1.0, settings, rng.integers(0, 50, len(settings)).astype(float), seed=8)
+
+
+def test_sector_records_match_the_per_setting_filter():
+    records = [mixed_record()]
+    for d in (3, 4):
+        kets, labels = pairwise_overcomplete_kets(d), pairwise_ket_labels(d)
+        rho = density_from_ket(make_spdc_qudit(d, 1.5))
+        settings = joint_settings(kets, kets, labels, labels)
+        records += [simulate_counts(rho, settings, 1e3, 10.0, seed=d), simulate_counts(rho, settings, 1e3, 10.0, poisson=False)]
+    for record in records:
+        pairs = sector_pairs(record.dim_a)
+        for (a, b), sub in zip(pairs, sector_records(record, pairs), strict=True):
+            kets_a, kets_b, labels, counts = per_setting_sector(record, a, b)
+            assert (sub.dim_a, sub.dim_b, sub.seed) == (2, 2, record.seed)
+            assert np.array([s.arm_a for s in sub.settings]).tobytes() == kets_a.tobytes()
+            assert np.array([s.arm_b for s in sub.settings]).tobytes() == kets_b.tobytes()
+            assert [(s.label_a, s.label_b) for s in sub.settings] == [tuple(pair) for pair in labels]
+            assert sub.counts.tobytes() == counts.tobytes()
+            assert extract_sub_tomography(record, a, b).counts.tobytes() == counts.tobytes()
+    # every pair gains a seventh arm ket, the one that leaks ~1e-14 of its weight
+    assert [len(sub.settings) for sub in sector_records(records[0], sector_pairs(3))] == [49] * 9
+
+
 def test_extract_insufficient_settings():
     # a record holding only basis settings cannot support a subspace fit
     from pconcurrence.tomography import ProjectorSetting
@@ -443,9 +553,31 @@ def test_record_json_round_trip():
         assert s1.label_a == s2.label_a
 
 
+def test_save_record_writes_the_indented_json_dump(tmp_path):
+    for name, d, settings in setting_sets():
+        rho = random_density(d, 2, d)
+        drawn = simulate_counts(rho, settings, 1e3, 10.0, seed=3)
+        for record in (drawn, simulate_counts(rho, settings, 1e3, 10.0, poisson=False),
+                       record_from_dict(json.loads(json.dumps(record_to_dict(drawn))))):
+            path = tmp_path / f"{name}.json"
+            save_record(path, record)
+            assert path.read_bytes() == (json.dumps(record_to_dict(record), indent=2) + "\n").encode(), name
+
+
 def test_record_validation():
     settings = tuple(bell_settings())
     with pytest.raises(ValueError, match="counts"):
         TomographyRecord(2, 2, 1e3, 10.0, settings, np.zeros(5))
+    with pytest.raises(ValueError, match="at least one setting"):
+        TomographyRecord(2, 2, 1e3, 10.0, (), np.zeros(0))
     with pytest.raises(ValueError, match="nonnegative"):
         TomographyRecord(2, 2, 1e3, 10.0, settings, np.full(36, -1.0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            TomographyRecord(2, 2, 1e3, 10.0, settings, np.where(np.arange(36) == 4, bad, 1.0))
+    with pytest.raises(ValueError, match=r"settings\[0\].a has 2 entries, expected dimA = 3"):
+        TomographyRecord(3, 2, 1e3, 10.0, settings, np.ones(36))
+    from pconcurrence.tomography import ProjectorSetting
+
+    with pytest.raises(ValueError, match="not normalized"):
+        ProjectorSetting(np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
