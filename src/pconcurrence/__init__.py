@@ -19,7 +19,6 @@ from .measures import (
     uhlmann_fidelity,
     wootters_concurrence,
 )
-from .qmath import hermitian_eig, partial_trace, sqrt_psd, tensor_product
 from .states import (
     BipartiteKet,
     DensityMatrix,
@@ -30,6 +29,7 @@ from .states import (
     make_max_entangled,
     make_spdc_qudit,
     make_spdc_qutrit,
+    partial_trace,
     save_state,
     validate_density,
 )

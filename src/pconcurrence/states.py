@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .qmath import partial_trace
-
+# The one tolerance set for states. DensityMatrix is the only check of
+# Hermiticity, trace and positivity; what is computed from a gated state
+# (sector blocks, concurrences, fidelities) is not checked again.
 KET_NORM_ATOL = 1e-10
 HERM_ATOL = 1e-10
 TRACE_ATOL = 1e-9
@@ -56,6 +57,25 @@ class BipartiteKet:
         """Reduced density matrix of side A (dimA x dimA)."""
         psi = self.amplitude_matrix()
         return psi @ psi.conj().T
+
+
+def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
+    """Trace out one subsystem of a bipartite operator.
+
+    m must be (dA*dB) x (dA*dB) with row index a*dB + b. keep selects the
+    surviving side, "A" or "B". The trace of the result equals the trace
+    of the input.
+    """
+    da, db = dims
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (da * db, da * db):
+        raise ValueError(f"matrix shape {m.shape} does not match dims ({da}, {db})")
+    t = m.reshape(da, db, da, db)
+    if keep in ("A", "a"):
+        return np.einsum("abcb->ac", t)
+    if keep in ("B", "b"):
+        return np.einsum("abad->bd", t)
+    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 @dataclass(frozen=True)
@@ -196,12 +216,25 @@ def state_to_dict(state: BipartiteKet | DensityMatrix) -> dict:
     raise TypeError(f"expected BipartiteKet or DensityMatrix, got {type(state).__name__}")
 
 
-def parse_field(obj: dict, key: str, kind):
-    """kind(obj[key]), raising a ValueError that names the field if it does not convert."""
+def parse_field(obj: dict, key: str, kind=None):
+    """kind(obj[key]), or obj[key] without kind; a ValueError names the field if it is missing or does not convert."""
+    if key not in obj:
+        raise ValueError(f"field {key!r} is missing")
+    value = obj[key]
+    if kind is None:
+        return value
     try:
-        return kind(obj[key])
+        return kind(value)
     except (TypeError, ValueError):
-        raise ValueError(f"field {key!r} is malformed: {obj[key]!r:.60}") from None
+        raise ValueError(f"field {key!r} is malformed: {value!r:.60}") from None
+
+
+def parse_dim(obj: dict, key: str) -> int:
+    """A dimension field: a JSON integer >= 1, so 3.7, "3" and true are refused, not truncated."""
+    value = parse_field(obj, key)
+    if type(value) is not int or value < 1:
+        raise ValueError(f"field {key!r} must be an integer >= 1, got {value!r:.60}")
+    return value
 
 
 def parse_complex_list(value, field: str) -> np.ndarray:
@@ -216,8 +249,8 @@ def state_from_dict(obj: dict) -> BipartiteKet | DensityMatrix:
     if not isinstance(obj, dict):
         raise ValueError(f"a state must be a JSON object, got a {type(obj).__name__}")
     kind = obj.get("type")
-    da, db = parse_field(obj, "dimA", int), parse_field(obj, "dimB", int)
-    data = obj["data"]
+    da, db = parse_dim(obj, "dimA"), parse_dim(obj, "dimB")
+    data = parse_field(obj, "data")
     if kind == "ket":
         return BipartiteKet(da, db, parse_complex_list(data, "data"))
     if kind == "density":

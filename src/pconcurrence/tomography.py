@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .states import DensityMatrix, parse_complex_list, parse_field, validate_density
+from .states import DensityMatrix, parse_complex_list, parse_dim, parse_field, validate_density
 from .witness import WEIGHT_FLOOR, IndexPair, count_subspaces
 
 SUPERPOSITION_PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
@@ -48,6 +48,11 @@ class ProjectorSetting:
                 raise ValueError(f"{name} is not normalized")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TomographyRecord:
     """Joint settings with observed coincidence counts.
@@ -66,6 +71,8 @@ class TomographyRecord:
     seed: int | None = None
 
     def __post_init__(self):
+        _check_positive("rate_hz", self.rate_hz)
+        _check_positive("integration_time_s", self.integration_time_s)
         c = np.asarray(self.counts, dtype=float)
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "settings", tuple(self.settings))
@@ -240,8 +247,8 @@ def simulate_counts(
     reproducible regardless of evaluation order. poisson=False stores the
     exact means instead (noiseless validation mode); seed is then ignored.
     """
-    if rate_hz <= 0 or integration_time_s <= 0:
-        raise ValueError("rate_hz and integration_time_s must be positive")
+    _check_positive("rate_hz", rate_hz)
+    _check_positive("integration_time_s", integration_time_s)
     scale = rate_hz * integration_time_s
     means = scale * born_probabilities(rho, settings)
     if poisson:
@@ -746,8 +753,8 @@ def record_from_dict(obj: dict) -> TomographyRecord:
             )
         )
     return TomographyRecord(
-        dim_a=parse_field(obj, "dimA", int),
-        dim_b=parse_field(obj, "dimB", int),
+        dim_a=parse_dim(obj, "dimA"),
+        dim_b=parse_dim(obj, "dimB"),
         rate_hz=parse_field(obj, "rate_hz", float),
         integration_time_s=parse_field(obj, "integration_time_s", float),
         settings=tuple(settings),

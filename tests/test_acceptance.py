@@ -16,7 +16,6 @@ from pconcurrence.measures import (
     uhlmann_fidelity,
     wootters_concurrence,
 )
-from pconcurrence.qmath import tensor_product
 from pconcurrence.states import (
     BipartiteKet,
     SpdcParams,
@@ -172,7 +171,7 @@ def test_criterion_5_pairing_search_correctness():
             base = pconcurrence_search(rho, mode="assignment").pconcurrence
             pa = np.eye(3)[rng.permutation(3)]
             pb = np.eye(3)[rng.permutation(3)]
-            u = tensor_product(pa, pb)
+            u = np.kron(pa, pb)
             moved = validate_density(u @ rho.matrix @ u.conj().T, (3, 3))
             assert abs(pconcurrence_search(moved, mode="assignment").pconcurrence - base) < 1e-8
 
@@ -255,7 +254,7 @@ def test_criterion_8_measure_cross_validation():
             m2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             _, ua = np.linalg.eigh(m1 + m1.conj().T)
             _, ub = np.linalg.eigh(m2 + m2.conj().T)
-            u = tensor_product(ua, ub)
+            u = np.kron(ua, ub)
             rotated = validate_density(u @ rho.matrix @ u.conj().T, (2, 2))
             assert abs(wootters_concurrence(rotated) - wootters_concurrence(rho)) < 1e-8
             rotated_ket = BipartiteKet(2, 2, u @ ket.amplitudes)

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from pconcurrence.cli import SWEEP_HEADER, main
 from pconcurrence.states import (
+    DensityMatrix,
     SpdcParams,
     density_from_ket,
     load_state,
@@ -121,6 +123,22 @@ def _infinite_count(obj):
     obj["counts"][5] = float("inf")
 
 
+def _set(key, value):
+    def edit(obj):
+        obj[key] = value
+
+    edit.__name__ = f"_{key}_{value}"
+    return edit
+
+
+def _drop(key):
+    def edit(obj):
+        del obj[key]
+
+    edit.__name__ = f"_drop_{key}"
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -132,6 +150,13 @@ def _infinite_count(obj):
         (_nested_counts, "counts must be a flat list of numbers"),
         (_nan_count, "counts must be finite and nonnegative"),
         (_infinite_count, "counts must be finite and nonnegative"),
+        (_set("rate_hz", 0), "rate_hz must be finite and positive, got 0.0"),
+        (_set("rate_hz", -1000), "rate_hz must be finite and positive, got -1000.0"),
+        (_set("rate_hz", float("nan")), "rate_hz must be finite and positive, got nan"),
+        (_set("integration_time_s", -10), "integration_time_s must be finite and positive, got -10.0"),
+        (_set("dimA", 3.7), "field 'dimA' must be an integer >= 1, got 3.7"),
+        (_drop("counts"), "field 'counts' is missing"),
+        (_drop("rate_hz"), "field 'rate_hz' is missing"),
     ],
 )
 @pytest.mark.parametrize("command", ["witness", "reconstruct"])
@@ -145,6 +170,83 @@ def test_malformed_record_is_an_error(tmp_path, max_qutrit_file, capsys, edit, m
     argv = [command, str(record)] + (["--out", str(tmp_path / "out.json")] if command == "reconstruct" else [])
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("dimA", 3.7), "field 'dimA' must be an integer >= 1, got 3.7"),
+        (_set("dimA", "3"), "field 'dimA' must be an integer >= 1, got '3'"),
+        (_set("dimB", True), "field 'dimB' must be an integer >= 1, got True"),
+        (_set("dimB", 0), "field 'dimB' must be an integer >= 1, got 0"),
+        (_drop("dimA"), "field 'dimA' is missing"),
+        (_drop("data"), "field 'data' is missing"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["ket", "density"])
+def test_malformed_state_header_is_an_error(tmp_path, capsys, edit, message, kind):
+    path = tmp_path / "state.json"
+    ket = make_max_entangled(3)
+    save_state(path, ket if kind == "ket" else density_from_ket(ket))
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    assert main(["witness", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_simulate_rejects_non_finite_rate(tmp_path, max_qutrit_file, capsys):
+    argv = ["simulate", max_qutrit_file, "--rate-hz", "nan", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: rate_hz must be finite and positive, got nan\n"
+
+
+# --- states at the edge of the DensityMatrix gate ------------------------------
+
+
+def edge_state_file(tmp_path, perturb):
+    """A d = 3 state whose (1,2)x(1,2) sector has weight 2e-4, with one eigenvalue at -perturb.
+
+    The eigenvector of -perturb is |1,2>, inside that sector, so the sector
+    block divided by its weight has an eigenvalue of -perturb / 2e-4.
+    """
+    psi = np.zeros(9)
+    psi[[0, 4, 8]] = np.sqrt([1 - 2e-4, 1e-4, 1e-4])
+    m = np.outer(psi, psi).astype(complex)
+    m[5, 5] -= perturb  # |1,2>
+    m[3, 3] += perturb  # |1,0> keeps the trace
+    path = tmp_path / f"edge_{perturb}.json"
+    save_state(path, DensityMatrix(3, 3, m))
+    return str(path)
+
+
+@pytest.mark.parametrize("pairing", ["known", "search"])
+def test_witness_accepts_every_gated_state(tmp_path, pairing):
+    products = []
+    for perturb in (0.0, 5e-10):  # -5e-10 passes the gate (PSD_ATOL = -1e-9)
+        out = tmp_path / "report.json"
+        assert main(["witness", edge_state_file(tmp_path, perturb), "--pairing", pairing, "--out", str(out)]) == 0
+        products.append(json.loads(out.read_text())["pconcurrence"])
+    assert products[0] == pytest.approx(4e-4, rel=1e-3)
+    assert abs(products[1] - products[0]) < 1e-6
+
+
+def test_measure_accepts_every_gated_state(tmp_path, capsys):
+    raws = []
+    for perturb in (0.0, 5e-10):
+        argv = ["measure", edge_state_file(tmp_path, perturb), "--measure", "pconcurrence", "--format", "json"]
+        assert main(argv) == 0
+        raws.append(json.loads(capsys.readouterr().out)["raw"])
+    assert abs(raws[1] - raws[0]) < 1e-6
+
+
+def test_reconstruct_target_accepts_every_gated_state(tmp_path, max_qutrit_file, capsys):
+    record = tmp_path / "record.json"
+    assert main(["simulate", max_qutrit_file, "--time-s", "1", "--out", str(record)]) == 0
+    target = edge_state_file(tmp_path, 5e-10)
+    argv = ["reconstruct", str(record), "--target", target, "--out", str(tmp_path / "rho.json")]
+    assert main(argv) == 0
+    assert "fidelity to target:" in capsys.readouterr().out
 
 
 def test_sweep_endpoints_and_header(tmp_path, capsys):

@@ -13,10 +13,10 @@ from pconcurrence.measures import (
     i_concurrence,
     normalize_measure,
     purity,
+    spectra,
     uhlmann_fidelity,
     wootters_concurrence,
 )
-from pconcurrence.qmath import tensor_product
 from pconcurrence.states import (
     BipartiteKet,
     DensityMatrix,
@@ -86,7 +86,7 @@ def test_concurrence_local_unitary_invariance():
     for _ in range(100):
         ket = random_ket(rng, 2, 2)
         rho = density_from_ket(ket)
-        u = tensor_product(random_local_unitary(rng, 2), random_local_unitary(rng, 2))
+        u = np.kron(random_local_unitary(rng, 2), random_local_unitary(rng, 2))
         rotated = validate_density(u @ rho.matrix @ u.conj().T, (2, 2))
         assert abs(wootters_concurrence(rotated) - wootters_concurrence(rho)) < 1e-8
 
@@ -153,7 +153,7 @@ def test_full_space_local_unitary_invariance():
     rng = np.random.default_rng(9)
     for _ in range(100):
         ket = random_ket(rng, 3, 3)
-        u = tensor_product(random_local_unitary(rng, 3), random_local_unitary(rng, 3))
+        u = np.kron(random_local_unitary(rng, 3), random_local_unitary(rng, 3))
         rotated = BipartiteKet(3, 3, u @ ket.amplitudes)
         assert abs(eof_pure(rotated) - eof_pure(ket)) < 1e-8
         assert abs(i_concurrence(rotated) - i_concurrence(ket)) < 1e-8
@@ -279,3 +279,59 @@ def test_measure_value_validation():
         MeasureValue(raw=-0.1, normalized=0.0, measure_name="eof")
     with pytest.raises(ValueError):
         MeasureValue(raw=0.5, normalized=1.5, measure_name="eof")
+
+
+# --- descending spectra and the one density gate --------------------------------
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def test_spectra_diagonal():
+    w, v, rank = spectra(np.diag([3.0, 1.0, 2.0]).astype(complex))
+    assert np.allclose(w, [3.0, 2.0, 1.0])
+    assert np.abs((v * w) @ v.conj().T - np.diag([3.0, 1.0, 2.0])).max() < 1e-12
+    assert rank == 3
+
+
+def test_spectra_sigma_x():
+    w, v, rank = spectra(SIGMA_X)
+    assert np.allclose(w, [1.0, -1.0])
+    plus = np.array([1, 1]) / np.sqrt(2)
+    minus = np.array([1, -1]) / np.sqrt(2)
+    assert abs(abs(np.vdot(plus, v[:, 0])) - 1) < 1e-12
+    assert abs(abs(np.vdot(minus, v[:, 1])) - 1) < 1e-12
+    assert rank == 1  # the negative eigenvalue is not counted
+
+
+def test_spectra_reconstruction_random():
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(100, 9, 9)) + 1j * rng.normal(size=(100, 9, 9))
+    m = (m + m.conj().transpose(0, 2, 1)) / 2
+    w, v, _ = spectra(m)  # one stacked call, each matrix on its own
+    for mi, wi, vi in zip(m, w, v):
+        resid = np.linalg.norm((vi * wi) @ vi.conj().T - mi) / np.linalg.norm(mi)
+        assert resid < 1e-9
+        assert np.linalg.norm(vi.conj().T @ vi - np.eye(9)) < 1e-9
+        assert all(wi[i] >= wi[i + 1] for i in range(8))
+
+
+def test_eigenvalues_of_density_sum_to_one():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho)
+        w, _, _ = spectra(rho)
+        assert abs(w.sum() - 1.0) < 1e-10
+
+
+def test_spectra_rank_drops_round_off():
+    pure = density_from_ket(BELL).matrix
+    assert spectra(pure)[2] == 1
+    assert spectra(pure - 1e-12 * np.eye(4))[2] == 1
+
+
+def test_fidelity_of_a_gated_state_is_clipped_not_refused():
+    # Trace 1 + 5e-10 passes the DensityMatrix gate; <Bell|rho|Bell> is then above 1.
+    rho = DensityMatrix(2, 2, density_from_ket(BELL).matrix * (1 + 5e-10))
+    assert fidelity_to_ket(rho, BELL) == 1.0

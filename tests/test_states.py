@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pconcurrence.qmath import hermitian_eig, partial_trace
 from pconcurrence.states import (
     BipartiteKet,
     DensityMatrix,
@@ -16,6 +15,7 @@ from pconcurrence.states import (
     make_max_entangled,
     make_spdc_qudit,
     make_spdc_qutrit,
+    partial_trace,
     save_state,
     state_from_dict,
     state_to_dict,
@@ -130,7 +130,7 @@ def test_density_from_ket_purity_and_spectrum():
     for _ in range(100):
         rho = density_from_ket(random_ket(rng, 3, 3))
         assert abs(np.trace(rho.matrix @ rho.matrix).real - 1.0) < 1e-10
-    w, _ = hermitian_eig(rho.matrix)
+    w = np.linalg.eigvalsh(rho.matrix)[::-1]
     assert abs(w[0] - 1.0) < 1e-10
     assert np.abs(w[1:]).max() < 1e-10
 
@@ -155,6 +155,16 @@ def test_validate_density_errors_name_the_invariant():
     bad = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
     with pytest.raises(ValueError, match="positivity"):
         validate_density(bad, (2, 2))
+
+
+def test_density_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="Hermiticity"):
+        DensityMatrix(2, 1, np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_density_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(2, 1, np.array([[np.nan, 0], [0, 1]], dtype=complex))
 
 
 def test_validate_density_symmetrizes_and_renormalizes():
@@ -217,3 +227,59 @@ def test_global_phase_is_preserved_and_irrelevant():
     a = density_from_ket(ket).matrix
     b = density_from_ket(phased).matrix
     assert np.abs(a - b).max() < 1e-12  # measures see the same operator
+
+
+# --- partial trace ------------------------------------------------------------
+
+
+def random_psd(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return m @ m.conj().T
+
+
+def test_partial_trace_bell():
+    psi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    rho = np.outer(psi, psi.conj())
+    assert np.abs(partial_trace(rho, (2, 2), "A") - np.eye(2) / 2).max() < 1e-12
+    assert np.abs(partial_trace(rho, (2, 2), "B") - np.eye(2) / 2).max() < 1e-12
+
+
+def test_partial_trace_product_state():
+    rng = np.random.default_rng(11)
+    rho_a = random_psd(rng, 3)
+    rho_a /= np.trace(rho_a)
+    rho_b = random_psd(rng, 2)
+    rho_b /= np.trace(rho_b)
+    joint = np.kron(rho_a, rho_b)
+    assert np.abs(partial_trace(joint, (3, 2), "A") - rho_a).max() < 1e-12
+    assert np.abs(partial_trace(joint, (3, 2), "B") - rho_b).max() < 1e-12
+
+
+def test_partial_trace_max_entangled_qutrit():
+    # |Psi|^2 summed over either side at alpha = beta = 1 gives I/3.
+    psi = np.zeros(9, dtype=complex)
+    psi[[0, 4, 8]] = 1 / np.sqrt(3)
+    rho = np.outer(psi, psi.conj())
+    assert np.abs(partial_trace(rho, (3, 3), "B") - np.eye(3) / 3).max() < 1e-12
+
+
+def test_partial_trace_factorization_property():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        got = partial_trace(np.kron(a, b), (3, 4), "A")
+        assert np.linalg.norm(got - np.trace(b) * a) < 1e-10
+
+
+def test_partial_trace_preserves_trace():
+    rng = np.random.default_rng(13)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    m = (m + m.conj().T) / 2
+    for keep in ("A", "B"):
+        assert abs(np.trace(partial_trace(m, (2, 3), keep)) - np.trace(m)) < 1e-12
+
+
+def test_partial_trace_dimension_mismatch():
+    with pytest.raises(ValueError):
+        partial_trace(np.eye(5), (2, 3), "A")
