@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BipartiteKet, DensityMatrix, as_density
+from .states import TRACE_ATOL, BipartiteKet, DensityMatrix, as_density
 
 MEASURE_NAMES = ("concurrence", "i_concurrence", "eof", "pconcurrence")
 
@@ -77,6 +77,12 @@ def wootters_concurrences(states: np.ndarray) -> np.ndarray:
     Only the shape is checked: the states are gated states or blocks of one
     (see spectra). Singular values are taken per group of equal rank r, as
     (M_r, r, r) stacks, so no result depends on its neighbours.
+
+    A block of a gated state can hold a negative eigenvalue far below
+    round-off, down to states.PSD_ATOL / weight, which the truncation drops.
+    Where a dropped eigenvalue is below -TRACE_ATOL, the l_i are divided by
+    the sum of the kept eigenvalues: C is homogeneous of degree 1, so this
+    is the concurrence of the renormalized positive part, in [0, 1].
     """
     m = np.asarray(states, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
@@ -87,6 +93,9 @@ def wootters_concurrences(states: np.ndarray) -> np.ndarray:
         group = rank == r
         factor = np.ascontiguousarray(v[group, :, :r] * np.sqrt(w[group, None, :r]))
         lam[group, :r] = np.linalg.svd(factor.transpose(0, 2, 1) @ _SPIN_FLIP @ factor, compute_uv=False)
+    dropped = w[:, -1] < -TRACE_ATOL
+    if dropped.any():
+        lam[dropped] /= np.where(np.arange(4) < rank[dropped, None], w[dropped], 0.0).sum(axis=1)[:, None]
     c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
     return np.where(c > 0.0, c, 0.0)
 

@@ -216,13 +216,16 @@ def state_to_dict(state: BipartiteKet | DensityMatrix) -> dict:
     raise TypeError(f"expected BipartiteKet or DensityMatrix, got {type(state).__name__}")
 
 
-def parse_field(obj: dict, key: str, kind=None):
-    """kind(obj[key]), or obj[key] without kind; a ValueError names the field if it is missing or does not convert."""
+def require_field(obj: dict, key: str):
+    """obj[key], raising a ValueError that names the field if it is missing."""
     if key not in obj:
         raise ValueError(f"field {key!r} is missing")
-    value = obj[key]
-    if kind is None:
-        return value
+    return obj[key]
+
+
+def parse_field(obj: dict, key: str, kind):
+    """kind(obj[key]), raising a ValueError that names the field if it is missing or does not convert."""
+    value = require_field(obj, key)
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -231,7 +234,7 @@ def parse_field(obj: dict, key: str, kind=None):
 
 def parse_dim(obj: dict, key: str) -> int:
     """A dimension field: a JSON integer >= 1, so 3.7, "3" and true are refused, not truncated."""
-    value = parse_field(obj, key)
+    value = require_field(obj, key)
     if type(value) is not int or value < 1:
         raise ValueError(f"field {key!r} must be an integer >= 1, got {value!r:.60}")
     return value
@@ -250,7 +253,7 @@ def state_from_dict(obj: dict) -> BipartiteKet | DensityMatrix:
         raise ValueError(f"a state must be a JSON object, got a {type(obj).__name__}")
     kind = obj.get("type")
     da, db = parse_dim(obj, "dimA"), parse_dim(obj, "dimB")
-    data = parse_field(obj, "data")
+    data = require_field(obj, "data")
     if kind == "ket":
         return BipartiteKet(da, db, parse_complex_list(data, "data"))
     if kind == "density":

@@ -730,6 +730,13 @@ def record_to_dict(record: TomographyRecord) -> dict:
     }
 
 
+def _json_number(value) -> float:
+    """A JSON number as a float; a string or a boolean, which float() would take, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError
+    return float(value)
+
+
 def record_from_dict(obj: dict) -> TomographyRecord:
     if not isinstance(obj.get("settings"), list):
         raise ValueError("field 'settings' must be a list of setting objects")
@@ -755,8 +762,8 @@ def record_from_dict(obj: dict) -> TomographyRecord:
     return TomographyRecord(
         dim_a=parse_dim(obj, "dimA"),
         dim_b=parse_dim(obj, "dimB"),
-        rate_hz=parse_field(obj, "rate_hz", float),
-        integration_time_s=parse_field(obj, "integration_time_s", float),
+        rate_hz=parse_field(obj, "rate_hz", _json_number),
+        integration_time_s=parse_field(obj, "integration_time_s", _json_number),
         settings=tuple(settings),
         counts=parse_field(obj, "counts", lambda c: np.array(c, dtype=float)),
         seed=obj.get("seed"),

@@ -157,6 +157,8 @@ def _drop(key):
         (_set("dimA", 3.7), "field 'dimA' must be an integer >= 1, got 3.7"),
         (_drop("counts"), "field 'counts' is missing"),
         (_drop("rate_hz"), "field 'rate_hz' is missing"),
+        (_set("rate_hz", True), "field 'rate_hz' is malformed: True"),
+        (_set("integration_time_s", "1"), "field 'integration_time_s' is malformed: '1'"),
     ],
 )
 @pytest.mark.parametrize("command", ["witness", "reconstruct"])
@@ -229,6 +231,24 @@ def test_witness_accepts_every_gated_state(tmp_path, pairing):
         products.append(json.loads(out.read_text())["pconcurrence"])
     assert products[0] == pytest.approx(4e-4, rel=1e-3)
     assert abs(products[1] - products[0]) < 1e-6
+
+
+@pytest.mark.parametrize("pairing", ["known", "search"])
+def test_witness_concurrences_of_gated_states_stay_in_unit_interval(tmp_path, pairing):
+    """A sector of weight 1e-10 whose block has eigenvalues {6, 0, 0, -5} scores the concurrence 1 of its positive part."""
+    psi = np.zeros(9)
+    psi[[0, 4, 8]] = np.sqrt([1 - 6e-10, 3e-10, 3e-10])
+    m = np.outer(psi, psi).astype(complex)
+    m[5, 5] -= 5e-10  # |1,2>
+    m[3, 3] += 5e-10  # |1,0> keeps the trace
+    weak = tmp_path / "weak.json"
+    save_state(weak, DensityMatrix(3, 3, m))
+    for path in (str(weak), edge_state_file(tmp_path, 5e-10)):
+        out = tmp_path / "report.json"
+        assert main(["witness", path, "--pairing", pairing, "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["subspaces"]
+        assert all(0.0 <= row["concurrence"] <= 1.0 and 0.0 <= row["fidelity"] <= 1.0 for row in rows)
+        assert rows[-1]["a"] == [1, 2] and rows[-1]["concurrence"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_measure_accepts_every_gated_state(tmp_path, capsys):

@@ -385,3 +385,11 @@ def test_kernel_checks_its_inputs():
     assert wootters_concurrences(np.stack([bell, np.eye(4) / 4])) == pytest.approx([1.0, 0.0], abs=1e-12)
     with pytest.raises(ValueError, match="stack"):
         wootters_concurrences(bell)
+
+
+def test_kernel_renormalizes_a_block_with_a_dropped_negative_eigenvalue():
+    """A unit-trace block 6 rho - 5 |01><01| with rho on span{|00>, |11>} scores C(rho), not 6 C(rho)."""
+    bell = density_from_ket(make_max_entangled(2)).matrix
+    for rho in (bell, 0.8 * bell + 0.2 * np.diag([1.0, 0.0, 0.0, 0.0])):
+        block = 6.0 * rho - 5.0 * np.diag([0.0, 1.0, 0.0, 0.0])
+        assert wootters_concurrences(block[None]) == pytest.approx(wootters_concurrences(rho[None]), abs=1e-12)
