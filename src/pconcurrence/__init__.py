@@ -35,11 +35,9 @@ from .states import (
 )
 from .tomography import (
     Budget,
-    ProjectorSetting,
+    Settings,
     TomographyRecord,
-    born_probability,
     budget,
-    extract_sub_tomography,
     joint_settings,
     load_record,
     mub_kets,

@@ -240,12 +240,19 @@ def parse_dim(obj: dict, key: str) -> int:
     return value
 
 
-def parse_complex_list(value, field: str) -> np.ndarray:
-    """A JSON list of [re, im] pairs as a complex vector; a ValueError names the field."""
+def parse_complex_list(value, field: str) -> list[complex]:
+    """A JSON list of [re, im] number pairs as complex numbers; a ValueError names the field.
+
+    complex() refuses strings and null but takes booleans, so a pair holding
+    one is dropped, and the shortened list fails the length check.
+    """
     try:
-        return np.array([complex(re, im) for re, im in value])
+        z = [complex(re, im) for re, im in value if type(re) is not bool and type(im) is not bool]
     except (TypeError, ValueError):
-        raise ValueError(f"{field} must be a list of [re, im] pairs") from None
+        z = None
+    if z is None or len(z) != len(value):
+        raise ValueError(f"{field} must be a list of [re, im] pairs")
+    return z
 
 
 def state_from_dict(obj: dict) -> BipartiteKet | DensityMatrix:
@@ -259,12 +266,7 @@ def state_from_dict(obj: dict) -> BipartiteKet | DensityMatrix:
     if kind == "density":
         if not isinstance(data, list):
             raise ValueError("data must be a list of rows of [re, im] pairs")
-        try:
-            m = np.array([[complex(re, im) for re, im in row] for row in data])
-        except (TypeError, ValueError):
-            for i, row in enumerate(data):  # name the first malformed row
-                parse_complex_list(row, f"data[{i}]")
-            raise
+        m = np.array([parse_complex_list(row, f"data[{i}]") for i, row in enumerate(data)])
         return validate_density(m, (da, db))
     raise ValueError(f"unknown state type {kind!r} (expected 'ket' or 'density')")
 

@@ -16,12 +16,12 @@ import json
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .states import DensityMatrix, parse_complex_list, parse_dim, parse_field, validate_density
+from .states import KET_NORM_ATOL, DensityMatrix, parse_complex_list, parse_dim, parse_field, validate_density
 from .witness import WEIGHT_FLOOR, IndexPair, count_subspaces
 
 SUPERPOSITION_PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
@@ -32,25 +32,51 @@ SUPPORT_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ProjectorSetting:
-    """One joint projective measurement: a normalized ket per arm."""
+class Settings:
+    """Joint rank-1 projective measurements, one row per setting.
 
-    arm_a: np.ndarray
-    arm_b: np.ndarray
-    label_a: str = ""
-    label_b: str = ""
+    Row j measures |kets_a[j]> on arm A and |kets_b[j]> on arm B; kets_a is
+    (m, dA), kets_b is (m, dB) and the labels are (m,) strings. Every ket is
+    checked for unit norm here, once for the whole table.
+    """
+
+    kets_a: np.ndarray
+    kets_b: np.ndarray
+    labels_a: np.ndarray | None = None
+    labels_b: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, arm in (("arm_a", self.arm_a), ("arm_b", self.arm_b)):
-            v = np.asarray(arm, dtype=complex)
-            object.__setattr__(self, name, v)
-            if not abs(float(np.vdot(v, v).real) - 1.0) <= 1e-10:  # NaN fails too
-                raise ValueError(f"{name} is not normalized")
+        m, norms = len(self.kets_a), []
+        for arm in "ab":
+            kets = np.asarray(getattr(self, f"kets_{arm}"), dtype=complex)
+            labels = getattr(self, f"labels_{arm}")
+            labels = np.asarray([""] * m if labels is None else labels, dtype=object)
+            if kets.ndim != 2 or len(kets) != m or labels.shape != (m,):
+                raise ValueError(f"settings need {m} kets and {m} labels per arm, one row each")
+            object.__setattr__(self, f"kets_{arm}", kets)
+            object.__setattr__(self, f"labels_{arm}", labels)
+            norms.append(np.einsum("ji,ji->j", kets.conj(), kets).real)
+        bad = ~(np.abs(np.column_stack(norms) - 1.0) <= KET_NORM_ATOL)  # (m, 2); NaN fails too
+        if bad.any():
+            j, arm = np.argwhere(bad)[0]  # row-major: the first bad row, arm a before arm b
+            raise ValueError(f"settings[{j}].{'ab'[arm]} is not normalized")
+
+    def __len__(self) -> int:
+        return len(self.kets_a)
+
+    def joint_kets(self) -> np.ndarray:
+        """Row j is kron(kets_a[j], kets_b[j]), as one broadcast product."""
+        return (self.kets_a[:, :, None] * self.kets_b[:, None, :]).reshape(len(self), -1)
 
 
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ValueError(f"seed must be an integer >= 0 or null, got {seed!r:.60}")
 
 
 @dataclass(frozen=True)
@@ -59,24 +85,23 @@ class TomographyRecord:
 
     counts are Poisson draws for simulated experiments; the exact-expectation
     mode of simulate_counts stores real-valued means instead, which is only
-    meant for noiseless validation runs.
+    meant for noiseless validation runs. The arm dimensions are those of the
+    settings' kets.
     """
 
-    dim_a: int
-    dim_b: int
     rate_hz: float
     integration_time_s: float
-    settings: tuple[ProjectorSetting, ...]
+    settings: Settings
     counts: np.ndarray
     seed: int | None = None
 
     def __post_init__(self):
         _check_positive("rate_hz", self.rate_hz)
         _check_positive("integration_time_s", self.integration_time_s)
+        _check_seed(self.seed)
         c = np.asarray(self.counts, dtype=float)
         object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "settings", tuple(self.settings))
-        if not self.settings:
+        if not len(self.settings):
             raise ValueError("a record needs at least one setting")
         if c.ndim != 1:
             raise ValueError("counts must be a flat list of numbers")
@@ -84,12 +109,14 @@ class TomographyRecord:
             raise ValueError(f"{len(c)} counts for {len(self.settings)} settings")
         if not (np.isfinite(c) & (c >= 0)).all():
             raise ValueError("counts must be finite and nonnegative")
-        shape_a, shape_b = (self.dim_a,), (self.dim_b,)
-        for i, s in enumerate(self.settings):
-            if s.arm_a.shape != shape_a:
-                raise ValueError(f"settings[{i}].a has {s.arm_a.size} entries, expected dimA = {self.dim_a}")
-            if s.arm_b.shape != shape_b:
-                raise ValueError(f"settings[{i}].b has {s.arm_b.size} entries, expected dimB = {self.dim_b}")
+
+    @property
+    def dim_a(self) -> int:
+        return self.settings.kets_a.shape[1]
+
+    @property
+    def dim_b(self) -> int:
+        return self.settings.kets_b.shape[1]
 
 
 @dataclass(frozen=True)
@@ -189,52 +216,41 @@ def joint_settings(
     kets_b: list[np.ndarray],
     labels_a: list[str] | None = None,
     labels_b: list[str] | None = None,
-) -> list[ProjectorSetting]:
+) -> Settings:
     """Cartesian product of per-arm kets, arm-A major order."""
-    labels_a = labels_a or [""] * len(kets_a)
-    labels_b = labels_b or [""] * len(kets_b)
-    return [
-        ProjectorSetting(a, b, la, lb)
-        for (a, la), (b, lb) in itertools.product(zip(kets_a, labels_a), zip(kets_b, labels_b))
-    ]
+    na, nb = len(kets_a), len(kets_b)
+    return Settings(
+        np.repeat(np.asarray(kets_a, dtype=complex), nb, axis=0),
+        np.tile(np.asarray(kets_b, dtype=complex), (na, 1)),
+        np.repeat(labels_a or [""] * na, nb),
+        np.tile(labels_b or [""] * nb, na),
+    )
 
 
 # --- forward model ----------------------------------------------------------
 
 
-def _joint_ket_stack(settings: tuple[ProjectorSetting, ...] | list[ProjectorSetting]) -> np.ndarray:
-    """Row j is kron(arm_a, arm_b) of setting j, as one broadcast product."""
-    a = np.array([s.arm_a for s in settings])
-    b = np.array([s.arm_b for s in settings])
-    return (a[:, :, None] * b[:, None, :]).reshape(len(settings), -1)
-
-
-def born_probabilities(rho: DensityMatrix, settings: Sequence[ProjectorSetting]) -> np.ndarray:
+def born_probabilities(rho: DensityMatrix, settings: Settings) -> np.ndarray:
     """Tr(rho |a><a| x |b><b|) for every joint setting, clipped into [0, 1].
 
     Each entry is vdot(v, rho v) on its own row v of the ket stack, bit-equal
     to the one-setting evaluation on kron(a, b); a stacked matrix product
     rounds differently, which would shift Poisson draws and exact means.
     """
-    kets = _joint_ket_stack(settings)
-    if kets.shape[1] != rho.dim:
-        raise ValueError(f"setting dimension {kets.shape[1]} does not match state {rho.dim}")
+    dims = (settings.kets_a.shape[1], settings.kets_b.shape[1])
+    if dims != (rho.dim_a, rho.dim_b):
+        raise ValueError(f"settings of dims {dims} do not match the state's dims {(rho.dim_a, rho.dim_b)}")
     m = rho.matrix
-    p = np.array([np.vdot(v, m @ v).real for v in kets])
+    p = np.array([np.vdot(v, m @ v).real for v in settings.joint_kets()])
     outside = (p < -1e-12) | (p > 1.0 + 1e-12)
     if outside.any():
         raise ValueError(f"Born probability {float(p[outside][0])!r} outside [0, 1]")
     return np.clip(p, 0.0, 1.0) + 0.0  # + 0.0: no -0.0 probabilities or exact means
 
 
-def born_probability(rho: DensityMatrix, s: ProjectorSetting) -> float:
-    """Tr(rho |a><a| x |b><b|) for one joint setting."""
-    return float(born_probabilities(rho, [s])[0])
-
-
 def simulate_counts(
     rho: DensityMatrix,
-    settings: list[ProjectorSetting],
+    settings: Settings,
     rate_hz: float,
     integration_time_s: float,
     seed: int | None = None,
@@ -249,6 +265,7 @@ def simulate_counts(
     """
     _check_positive("rate_hz", rate_hz)
     _check_positive("integration_time_s", integration_time_s)
+    _check_seed(seed)
     scale = rate_hz * integration_time_s
     means = scale * born_probabilities(rho, settings)
     if poisson:
@@ -259,15 +276,7 @@ def simulate_counts(
             counts[i] = np.random.default_rng(stream).poisson(means[i])
     else:
         counts = means
-    return TomographyRecord(
-        dim_a=rho.dim_a,
-        dim_b=rho.dim_b,
-        rate_hz=rate_hz,
-        integration_time_s=integration_time_s,
-        settings=tuple(settings),
-        counts=counts,
-        seed=seed,
-    )
+    return TomographyRecord(rate_hz, integration_time_s, settings, counts, seed)
 
 
 # --- reconstruction ---------------------------------------------------------
@@ -318,7 +327,7 @@ def reconstruct_linear(record: TomographyRecord) -> DensityMatrix:
     operator space.
     """
     n = record.dim_a * record.dim_b
-    design = _design_matrix(_joint_ket_stack(record.settings), n)
+    design = _design_matrix(record.settings.joint_kets(), n)
     coeff, _, rank, _ = np.linalg.lstsq(design, frequencies(record), rcond=None)
     if rank < n * n:
         raise ValueError(
@@ -358,7 +367,7 @@ class _Likelihood:
         if float(record.counts.sum()) <= 0:
             raise ValueError("record has no counts; likelihood is flat")
         seen = record.counts > 0
-        self.kets = _joint_ket_stack([s for s, k in zip(record.settings, seen) if k])
+        self.kets = record.settings.joint_kets()[seen]
         self.counts = record.counts[seen]
         self.total = float(self.counts.sum())
 
@@ -604,41 +613,22 @@ def sector_records(
             raise ValueError(
                 f"pair indices ({a.lo},{a.hi})x({b.lo},{b.hi}) exceed dims ({record.dim_a}, {record.dim_b})"
             )
-    arms_a = _arm_restrictions(np.array([s.arm_a for s in record.settings]), {a for a, _ in pairs})
-    arms_b = _arm_restrictions(np.array([s.arm_b for s in record.settings]), {b for _, b in pairs})
+    table = record.settings
+    arms_a = _arm_restrictions(table.kets_a, {a for a, _ in pairs})
+    arms_b = _arm_restrictions(table.kets_b, {b for _, b in pairs})
     records = []
     for a, b in pairs:
         (keep_a, sub_a), (keep_b, sub_b) = arms_a[a], arms_b[b]
         kept = np.flatnonzero(keep_a & keep_b)
-        settings = tuple(
-            ProjectorSetting(sub_a[j], sub_b[j], record.settings[j].label_a, record.settings[j].label_b)
-            for j in kept
-        )
-        rank = int(np.linalg.matrix_rank(_design_matrix(_joint_ket_stack(settings), 4))) if settings else 0
+        settings = Settings(sub_a[kept], sub_b[kept], table.labels_a[kept], table.labels_b[kept])
+        rank = int(np.linalg.matrix_rank(_design_matrix(settings.joint_kets(), 4))) if len(kept) else 0
         if rank < 16:
             raise ValueError(
-                f"only {len(settings)} settings (rank {rank}) remain on subspace "
+                f"only {len(kept)} settings (rank {rank}) remain on subspace "
                 f"({a.lo},{a.hi})x({b.lo},{b.hi}); 16 independent settings are needed"
             )
-        records.append(
-            TomographyRecord(
-                dim_a=2,
-                dim_b=2,
-                rate_hz=record.rate_hz,
-                integration_time_s=record.integration_time_s,
-                settings=settings,
-                counts=record.counts[kept],
-                seed=record.seed,
-            )
-        )
+        records.append(replace(record, settings=settings, counts=record.counts[kept]))
     return records
-
-
-def extract_sub_tomography(
-    record: TomographyRecord, a: IndexPair, b: IndexPair
-) -> TomographyRecord:
-    """One sector of sector_records: the settings on span{|a.lo>, |a.hi>} x span{|b.lo>, |b.hi>}."""
-    return sector_records(record, [(a, b)])[0]
 
 
 def sector_estimates(
@@ -715,16 +705,12 @@ def _count_values(record: TomographyRecord) -> list[int | float]:
 
 
 def record_to_dict(record: TomographyRecord) -> dict:
+    s = record.settings
     return {
         **_record_head(record),
         "settings": [
-            {
-                "a": _ket_pairs(s.arm_a),
-                "b": _ket_pairs(s.arm_b),
-                "label_a": s.label_a,
-                "label_b": s.label_b,
-            }
-            for s in record.settings
+            {"a": _ket_pairs(a), "b": _ket_pairs(b), "label_a": la, "label_b": lb}
+            for a, b, la, lb in zip(s.kets_a, s.kets_b, s.labels_a, s.labels_b)
         ],
         "counts": _count_values(record),
     }
@@ -737,10 +723,18 @@ def _json_number(value) -> float:
     return float(value)
 
 
+def _arm_ket(value, i: int, arm: str, dim: int) -> list[complex]:
+    ket = parse_complex_list(value, f"settings[{i}].{arm}")
+    if len(ket) != dim:
+        raise ValueError(f"settings[{i}].{arm} has {len(ket)} entries, expected dim{arm.upper()} = {dim}")
+    return ket
+
+
 def record_from_dict(obj: dict) -> TomographyRecord:
     if not isinstance(obj.get("settings"), list):
         raise ValueError("field 'settings' must be a list of setting objects")
-    settings = []
+    dim_a, dim_b = parse_dim(obj, "dimA"), parse_dim(obj, "dimB")
+    kets_a, kets_b, labels_a, labels_b = [], [], [], []
     for i, s in enumerate(obj["settings"]):
         if not isinstance(s, dict):
             raise ValueError(f"settings[{i}] must be an object with kets 'a' and 'b'")
@@ -751,20 +745,19 @@ def record_from_dict(obj: dict) -> TomographyRecord:
         label_a, label_b = s.get("label_a", ""), s.get("label_b", "")
         if not (isinstance(label_a, str) and isinstance(label_b, str)):
             raise ValueError(f"settings[{i}] labels must be strings")
-        settings.append(
-            ProjectorSetting(
-                arm_a=parse_complex_list(a, f"settings[{i}].a"),
-                arm_b=parse_complex_list(b, f"settings[{i}].b"),
-                label_a=label_a,
-                label_b=label_b,
-            )
-        )
+        kets_a.append(_arm_ket(a, i, "a", dim_a))
+        kets_b.append(_arm_ket(b, i, "b", dim_b))
+        labels_a.append(label_a)
+        labels_b.append(label_b)
     return TomographyRecord(
-        dim_a=parse_dim(obj, "dimA"),
-        dim_b=parse_dim(obj, "dimB"),
         rate_hz=parse_field(obj, "rate_hz", _json_number),
         integration_time_s=parse_field(obj, "integration_time_s", _json_number),
-        settings=tuple(settings),
+        settings=Settings(
+            np.array(kets_a, dtype=complex).reshape(-1, dim_a),
+            np.array(kets_b, dtype=complex).reshape(-1, dim_b),
+            labels_a,
+            labels_b,
+        ),
         counts=parse_field(obj, "counts", lambda c: np.array(c, dtype=float)),
         seed=obj.get("seed"),
     )
@@ -782,37 +775,36 @@ def save_record(path: str | Path, record: TomographyRecord) -> None:
     arm ket across many settings (45 distinct kets per arm in the 2025
     settings of a d = 5 pairwise record). So each distinct ket and label is
     encoded once, at the depth of a setting field, and the settings are
-    assembled from those fragments around the indented layout below.
+    assembled from those fragments around the indented layout below. The
+    counts, a flat list of numbers, go through json's fast unindented
+    encoder and are then laid out one per line.
     """
-    kets: dict[bytes, str] = {}
-    labels: dict[str, str] = {}
+    texts: dict[bytes, str] = {}
 
-    def ket(v: np.ndarray) -> str:
-        key = v.tobytes()
-        if key not in kets:
-            kets[key] = _nested_json(_ket_pairs(v), 3)
-        return kets[key]
+    def ket_texts(kets: np.ndarray) -> list[str]:
+        """Each row's fragment, keyed by its bytes: 0.0 and -0.0, which json writes differently, stay apart."""
+        keys = np.ascontiguousarray(kets).view(f"V{kets.shape[1] * kets.itemsize}").ravel().tolist()
+        for key in set(keys) - texts.keys():
+            texts[key] = _nested_json(_ket_pairs(np.frombuffer(key, dtype=complex)), 3)
+        return [texts[key] for key in keys]
 
-    def label(x: str) -> str:
-        if x not in labels:
-            labels[x] = _nested_json(x, 3)
-        return labels[x]
-
+    table = record.settings
+    labels = {x: _nested_json(x, 3) for x in {*table.labels_a, *table.labels_b}}
     settings = [
-        '{\n      "a": ' + ket(s.arm_a)
-        + ',\n      "b": ' + ket(s.arm_b)
-        + ',\n      "label_a": ' + label(s.label_a)
-        + ',\n      "label_b": ' + label(s.label_b)
+        '{\n      "a": ' + a
+        + ',\n      "b": ' + b
+        + ',\n      "label_a": ' + labels[la]
+        + ',\n      "label_b": ' + labels[lb]
         + "\n    }"
-        for s in record.settings
+        for a, b, la, lb in zip(ket_texts(table.kets_a), ket_texts(table.kets_b), table.labels_a, table.labels_b)
     ]
     text = (
         json.dumps(_record_head(record), indent=2)[: -len("\n}")]
         + ',\n  "settings": [\n    '
         + ",\n    ".join(settings)
-        + '\n  ],\n  "counts": '
-        + _nested_json(_count_values(record), 1)
-        + "\n}\n"
+        + '\n  ],\n  "counts": [\n    '
+        + json.dumps(_count_values(record))[1:-1].replace(", ", ",\n    ")  # no number holds ", "
+        + "\n  ]\n}\n"
     )
     Path(path).write_text(text, encoding="utf-8")
 

@@ -26,13 +26,13 @@ from pconcurrence.states import (
 )
 from pconcurrence.tomography import (
     budget,
-    extract_sub_tomography,
     joint_settings,
     pairwise_ket_labels,
     pairwise_overcomplete_kets,
     qubit_setting_kets,
     reconstruct_linear,
     reconstruct_mle,
+    sector_records,
     simulate_counts,
 )
 from pconcurrence.witness import (
@@ -199,8 +199,8 @@ def test_criterion_6_noiseless_round_trips():
 
         from pconcurrence.witness import project_subspace
 
-        for pair in enumerate_pairs(3):
-            sub_record = extract_sub_tomography(record3, pair, pair)
+        pairs = enumerate_pairs(3)
+        for pair, sub_record in zip(pairs, sector_records(record3, [(pair, pair) for pair in pairs]), strict=True):
             assert len(sub_record.settings) == 36
             rho2 = reconstruct_mle(sub_record)
             expected, _ = project_subspace(qutrit_truth, pair, pair)

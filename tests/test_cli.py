@@ -99,6 +99,14 @@ def _short_ket_a(obj):
     obj["settings"][3]["a"] = [[1.0, 0.0], [0.0, 0.0]]
 
 
+def _unnormalized_ket_a(obj):
+    obj["settings"][3]["a"] = [[2, 0], [0, 0], [0, 0]]
+
+
+def _boolean_ket_a(obj):
+    obj["settings"][3]["a"] = [[True, False], [0, 0], [0, 0]]  # the ket it replaces, as booleans
+
+
 def _ragged_ket_b(obj):
     obj["settings"][3]["b"].append([0.0, 0.0])
 
@@ -159,6 +167,10 @@ def _drop(key):
         (_drop("rate_hz"), "field 'rate_hz' is missing"),
         (_set("rate_hz", True), "field 'rate_hz' is malformed: True"),
         (_set("integration_time_s", "1"), "field 'integration_time_s' is malformed: '1'"),
+        (_unnormalized_ket_a, "settings[3].a is not normalized"),
+        (_boolean_ket_a, "settings[3].a must be a list of [re, im] pairs"),
+        (_set("seed", [1, "x"]), "seed must be an integer >= 0 or null, got [1, 'x']"),
+        (_set("seed", -1), "seed must be an integer >= 0 or null, got -1"),
     ],
 )
 @pytest.mark.parametrize("command", ["witness", "reconstruct"])
@@ -201,6 +213,28 @@ def test_simulate_rejects_non_finite_rate(tmp_path, max_qutrit_file, capsys):
     argv = ["simulate", max_qutrit_file, "--rate-hz", "nan", "--out", str(tmp_path / "r.json")]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: rate_hz must be finite and positive, got nan\n"
+
+
+def test_simulate_rejects_negative_seed(tmp_path, max_qutrit_file, capsys):
+    argv = ["simulate", max_qutrit_file, "--seed", "-1", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: seed must be an integer >= 0 or null, got -1\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["ket", "density"])
+def test_boolean_state_entries_are_an_error(tmp_path, capsys, kind):
+    path = tmp_path / "state.json"
+    ket = make_max_entangled(2)
+    save_state(path, ket if kind == "ket" else density_from_ket(ket))
+    obj = json.loads(path.read_text())
+    if kind == "ket":  # a zero entry, as [0, false]
+        obj["data"][1], message = [0, False], "data must be a list of [re, im] pairs"
+    else:
+        obj["data"][1][1], message = [0, False], "data[1] must be a list of [re, im] pairs"
+    path.write_text(json.dumps(obj))
+    assert main(["witness", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # --- states at the edge of the DensityMatrix gate ------------------------------

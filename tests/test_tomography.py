@@ -16,11 +16,11 @@ from pconcurrence.states import (
     validate_density,
 )
 from pconcurrence.tomography import (
+    Settings,
     TomographyRecord,
-    born_probability,
+    born_probabilities,
     budget,
     budget_to_dict,
-    extract_sub_tomography,
     joint_settings,
     mub_ket_labels,
     mub_kets,
@@ -50,6 +50,11 @@ def qutrit_settings():
     kets = pairwise_overcomplete_kets(3)
     labels = pairwise_ket_labels(3)
     return joint_settings(kets, kets, labels, labels)
+
+
+def take(settings, index):
+    """The rows index of a settings table, in that order."""
+    return Settings(settings.kets_a[index], settings.kets_b[index], settings.labels_a[index], settings.labels_b[index])
 
 
 def noiseless_record(state, settings, scale=1e4):
@@ -127,45 +132,37 @@ def test_mub_joint_setting_count():
     assert len(joint_settings(kets, kets)) == 144
 
 
-def test_born_probability_bell_cases():
+def test_born_probabilities_bell_cases():
     rho = density_from_ket(BELL)
     ket0 = np.array([1, 0], dtype=complex)
     ket1 = np.array([0, 1], dtype=complex)
-    from pconcurrence.tomography import ProjectorSetting
+    p = born_probabilities(rho, Settings([ket0, ket0], [ket0, ket1]))
+    assert abs(p[0] - 0.5) < 1e-12
+    assert p[1] < 1e-12
 
-    assert abs(born_probability(rho, ProjectorSetting(ket0, ket0)) - 0.5) < 1e-12
-    assert born_probability(rho, ProjectorSetting(ket0, ket1)) < 1e-12
 
-
-def test_born_probability_mub_conjugate_pairs():
+def test_born_probabilities_mub_conjugate_pairs():
     rho = density_from_ket(QUTRIT)
-    for ket in mub_kets(3):
-        from pconcurrence.tomography import ProjectorSetting
-
-        p = born_probability(rho, ProjectorSetting(ket, ket.conj()))
-        assert abs(p - 1 / 3) < 1e-12
+    kets = np.array(mub_kets(3))
+    p = born_probabilities(rho, Settings(kets, kets.conj()))
+    assert len(p) == 12
+    assert np.abs(p - 1 / 3).max() < 1e-12
 
 
 def test_born_sums_to_one_over_mub_basis_pair():
     rho = density_from_ket(make_spdc_qutrit(SpdcParams(0.4, 0.9)))
     kets = mub_kets(3)
-    from pconcurrence.tomography import ProjectorSetting
-
     for b in range(4):
         basis = kets[b * 3 : (b + 1) * 3]
-        total = sum(
-            born_probability(rho, ProjectorSetting(ka, kb)) for ka in basis for kb in basis
-        )
+        total = born_probabilities(rho, joint_settings(basis, basis)).sum()
         assert abs(total - 1.0) < 1e-9
 
 
 def test_simulate_zero_probability_gives_zero_counts():
     rho = density_from_ket(BELL)
-    from pconcurrence.tomography import ProjectorSetting
-
     ket0 = np.array([1, 0], dtype=complex)
     ket1 = np.array([0, 1], dtype=complex)
-    settings = [ProjectorSetting(ket0, ket1)] * 50
+    settings = Settings([ket0] * 50, [ket1] * 50)
     record = simulate_counts(rho, settings, 1e6, 1.0, seed=5)
     assert record.counts.max() == 0.0
 
@@ -173,8 +170,8 @@ def test_simulate_zero_probability_gives_zero_counts():
 def test_simulate_poisson_mean():
     # sample mean over many draws stays within 3 sigma of the expectation
     rho = density_from_ket(BELL)
-    settings = bell_settings()[:1] * 1000
-    p = born_probability(rho, settings[0])
+    settings = take(bell_settings(), [0] * 1000)
+    p = born_probabilities(rho, take(settings, [0]))[0]
     record = simulate_counts(rho, settings, rate_hz=1e4, integration_time_s=1.0, seed=11)
     mean = 1e4 * p
     sigma = math.sqrt(mean / 1000)
@@ -196,7 +193,7 @@ def test_simulate_streams_split_per_setting_index():
     rho = density_from_ket(BELL)
     settings = bell_settings()
     full = simulate_counts(rho, settings, 1e3, 10.0, seed=4)
-    head = simulate_counts(rho, settings[:10], 1e3, 10.0, seed=4)
+    head = simulate_counts(rho, take(settings, slice(10)), 1e3, 10.0, seed=4)
     assert np.array_equal(full.counts[:10], head.counts)
 
 
@@ -206,8 +203,8 @@ def test_simulated_means_and_counts_match_per_setting_kron_vdot():
     for name, d, settings in setting_sets():
         for rho in (random_density(d, 2, d), density_from_ket(make_spdc_qudit(d, 1.5))):
             probs = []
-            for s in settings:
-                v = np.kron(s.arm_a, s.arm_b)
+            for a, b in zip(settings.kets_a, settings.kets_b):
+                v = np.kron(a, b)
                 probs.append(min(1.0, max(0.0, float(np.vdot(v, rho.matrix @ v).real))))
             means = np.array([1e3 * 10.0 * p for p in probs])
             exact = simulate_counts(rho, settings, 1e3, 10.0, poisson=False)
@@ -217,19 +214,21 @@ def test_simulated_means_and_counts_match_per_setting_kron_vdot():
             counts = np.array([float(np.random.default_rng(st).poisson(mu)) for st, mu in zip(streams, means)])
             assert drawn.counts.tobytes() == counts.tobytes(), name
             for j in (0, len(settings) // 2, len(settings) - 1):
-                assert born_probability(rho, settings[j]) == probs[j]
+                assert born_probabilities(rho, take(settings, [j]))[0] == probs[j]
 
 
-def test_born_probability_checks_dimension_and_range():
-    from pconcurrence.tomography import ProjectorSetting
-
+def test_born_probabilities_check_dimension_and_range():
     ket = np.array([1, 0], dtype=complex)
-    with pytest.raises(ValueError, match="setting dimension 4 does not match state 9"):
-        born_probability(density_from_ket(QUTRIT), ProjectorSetting(ket, ket))
+    with pytest.raises(ValueError, match=r"settings of dims \(2, 2\) do not match the state's dims \(3, 3\)"):
+        born_probabilities(density_from_ket(QUTRIT), Settings([ket], [ket]))
+    # equal total dimension, arms swapped
+    two_by_four = density_from_ket(BipartiteKet(2, 4, np.eye(8)[0]))
+    with pytest.raises(ValueError, match=r"settings of dims \(4, 2\) do not match the state's dims \(2, 4\)"):
+        born_probabilities(two_by_four, Settings([np.eye(4)[0]], [ket]))
     rho = density_from_ket(BELL)
     object.__setattr__(rho, "matrix", 3 * rho.matrix)  # past the DensityMatrix gate
     with pytest.raises(ValueError, match="outside"):
-        born_probability(rho, ProjectorSetting(ket, ket))
+        born_probabilities(rho, Settings([ket], [ket]))
 
 
 def test_simulate_rejects_bad_rate():
@@ -246,15 +245,15 @@ def test_reconstruct_linear_noiseless_bell():
 def test_reconstruct_linear_uniform_counts_give_maximally_mixed():
     settings = bell_settings()
     counts = np.full(36, 2500.0)
-    record = TomographyRecord(2, 2, 1e4, 1.0, tuple(settings), counts)
+    record = TomographyRecord(1e4, 1.0, settings, counts)
     rho = reconstruct_linear(record)
     assert np.abs(rho.matrix - np.eye(4) / 4).max() < 1e-6
 
 
 def test_reconstruct_linear_design_rank():
-    from pconcurrence.tomography import _design_matrix, _joint_ket_stack
+    from pconcurrence.tomography import _design_matrix
 
-    design = _design_matrix(_joint_ket_stack(tuple(bell_settings())), 4)
+    design = _design_matrix(bell_settings().joint_kets(), 4)
     assert np.linalg.matrix_rank(design) == 16
 
 
@@ -279,9 +278,9 @@ def hermitian_basis(n):
 
 def test_design_matrix_matches_basis_definition():
     # columnwise fast path agrees with the literal <v|G|v> evaluation
-    from pconcurrence.tomography import _design_matrix, _joint_ket_stack
+    from pconcurrence.tomography import _design_matrix
 
-    V = _joint_ket_stack(tuple(bell_settings()[:7]))
+    V = bell_settings().joint_kets()[:7]
     fast = _design_matrix(V, 4)
     slow = np.array([[(v.conj() @ g @ v).real for g in hermitian_basis(4)] for v in V])
     assert np.abs(fast - slow).max() < 1e-12
@@ -298,23 +297,21 @@ def test_hermitian_coefficients_scatter_matches_basis_sum():
         assert _hermitian_from_coefficients(coeff, n).tobytes() == explicit.tobytes()
 
 
-def test_joint_ket_stack_matches_kron():
-    from pconcurrence.tomography import _joint_ket_stack
-
-    settings = joint_settings(pairwise_overcomplete_kets(3), mub_kets(3))
-    stack = _joint_ket_stack(settings)
-    assert stack.tobytes() == np.array([np.kron(s.arm_a, s.arm_b) for s in settings]).tobytes()
+def test_joint_kets_match_kron():
+    # joint_settings is arm-A major, and row j of joint_kets is kron(a, b) of setting j, bit for bit
+    kets_a, kets_b = pairwise_overcomplete_kets(3), mub_kets(3)
+    settings = joint_settings(kets_a, kets_b, pairwise_ket_labels(3), mub_ket_labels(3))
+    product = list(itertools.product(kets_a, kets_b))
+    assert settings.joint_kets().tobytes() == np.array([np.kron(a, b) for a, b in product]).tobytes()
+    labels = list(itertools.product(pairwise_ket_labels(3), mub_ket_labels(3)))
+    assert list(zip(settings.labels_a, settings.labels_b)) == labels
 
 
 def test_reconstruct_linear_rejects_rank_deficient():
-    from pconcurrence.tomography import ProjectorSetting
-
     ket0 = np.array([1, 0], dtype=complex)
     ket1 = np.array([0, 1], dtype=complex)
-    basis_only = [
-        ProjectorSetting(a, b) for a in (ket0, ket1) for b in (ket0, ket1)
-    ]
-    record = TomographyRecord(2, 2, 1e4, 1.0, tuple(basis_only), np.full(4, 2500.0))
+    basis_only = joint_settings([ket0, ket1], [ket0, ket1])
+    record = TomographyRecord(1e4, 1.0, basis_only, np.full(4, 2500.0))
     with pytest.raises(ValueError, match="rank-deficient"):
         reconstruct_linear(record)
 
@@ -361,7 +358,8 @@ def likelihood_certificate(record, rho):
     density matrices sigma of Tr(R sigma) is lambda_max(R).
     """
     seen = record.counts > 0
-    kets = np.array([np.kron(s.arm_a, s.arm_b) for s, k in zip(record.settings, seen) if k])
+    s = record.settings
+    kets = np.array([np.kron(a, b) for a, b, k in zip(s.kets_a, s.kets_b, seen) if k])
     counts = record.counts[seen]
     total = counts.sum()
     p = np.einsum("ji,ik,jk->j", kets.conj(), rho.matrix, kets).real
@@ -388,8 +386,7 @@ def ququart_sector_records():
     settings = joint_settings(kets, kets)
     for seed, decay in enumerate((2.5, 2.75, 3.0)):
         record = simulate_counts(density_from_ket(make_spdc_qudit(4, decay)), settings, 1000.0, 10.0, seed=seed)
-        for a, b in sector_pairs(4):
-            sub = extract_sub_tomography(record, a, b)
+        for sub in sector_records(record, sector_pairs(4)):
             if sub.counts.sum() > 0:
                 yield sub
 
@@ -403,14 +400,14 @@ def test_mle_reaches_the_maximum(records):
         assert likelihood_certificate(record, rho) <= 1e-3
 
 
-def test_extract_sub_tomography_counts_and_shape():
+def test_sector_records_counts_and_shape():
     record = noiseless_record(QUTRIT, qutrit_settings())
-    for a, b in itertools.product([IndexPair(0, 1), IndexPair(0, 2), IndexPair(1, 2)], repeat=2):
-        sub = extract_sub_tomography(record, a, b)
+    pairs = list(itertools.product([IndexPair(0, 1), IndexPair(0, 2), IndexPair(1, 2)], repeat=2))
+    for sub in sector_records(record, pairs):
         assert len(sub.settings) == 36
         assert (sub.dim_a, sub.dim_b) == (2, 2)
     # counts pass through unmodified: sum of a subspace extraction is a subset sum
-    sub = extract_sub_tomography(record, IndexPair(0, 1), IndexPair(0, 1))
+    sub = sector_records(record, [(IndexPair(0, 1), IndexPair(0, 1))])[0]
     all_counts = set(np.round(record.counts, 6))
     assert set(np.round(sub.counts, 6)) <= all_counts
 
@@ -418,7 +415,7 @@ def test_extract_sub_tomography_counts_and_shape():
 def test_extract_round_trip_concurrence():
     record = noiseless_record(QUTRIT, qutrit_settings())
     for pair in (IndexPair(0, 1), IndexPair(0, 2), IndexPair(1, 2)):
-        sub = extract_sub_tomography(record, pair, pair)
+        sub = sector_records(record, [(pair, pair)])[0]
         rho2 = reconstruct_mle(sub)
         assert abs(wootters_concurrence(rho2) - 1.0) < 1e-4
 
@@ -428,7 +425,7 @@ def test_extract_commutes_with_projection():
     record = noiseless_record(ket, qutrit_settings())
     rho_full = density_from_ket(ket)
     for pair in (IndexPair(0, 1), IndexPair(1, 2)):
-        sub_record = extract_sub_tomography(record, pair, pair)
+        sub_record = sector_records(record, [(pair, pair)])[0]
         rho2 = reconstruct_mle(sub_record)
         expected, _ = project_subspace(rho_full, pair, pair)
         assert uhlmann_fidelity(rho2, expected) >= 0.999
@@ -445,10 +442,11 @@ def per_setting_sector(record, a, b):
         return np.array([ket[pair.lo], ket[pair.hi]]) / math.sqrt(inside)
 
     kept = []
-    for s, count in zip(record.settings, record.counts):
-        sub_a, sub_b = restrict(s.arm_a, a), restrict(s.arm_b, b)
+    s = record.settings
+    for ket_a, ket_b, label_a, label_b, count in zip(s.kets_a, s.kets_b, s.labels_a, s.labels_b, record.counts):
+        sub_a, sub_b = restrict(ket_a, a), restrict(ket_b, b)
         if sub_a is not None and sub_b is not None:
-            kept.append((sub_a, sub_b, (s.label_a, s.label_b), count))
+            kept.append((sub_a, sub_b, (label_a, label_b), count))
     return tuple(np.array(column) for column in zip(*kept))
 
 
@@ -464,9 +462,8 @@ def mixed_record():
     kets = pairwise_overcomplete_kets(3) + mub_kets(3)[3:] + leaks
     labels = [f"k{i}" for i in range(len(kets))]
     settings = joint_settings(kets, kets, labels, labels)
-    order = rng.permutation(len(settings))
-    settings = tuple(settings[i] for i in order)
-    return TomographyRecord(3, 3, 1e3, 1.0, settings, rng.integers(0, 50, len(settings)).astype(float), seed=8)
+    settings = take(settings, rng.permutation(len(settings)))
+    return TomographyRecord(1e3, 1.0, settings, rng.integers(0, 50, len(settings)).astype(float), seed=8)
 
 
 def test_sector_records_match_the_per_setting_filter():
@@ -481,24 +478,21 @@ def test_sector_records_match_the_per_setting_filter():
         for (a, b), sub in zip(pairs, sector_records(record, pairs), strict=True):
             kets_a, kets_b, labels, counts = per_setting_sector(record, a, b)
             assert (sub.dim_a, sub.dim_b, sub.seed) == (2, 2, record.seed)
-            assert np.array([s.arm_a for s in sub.settings]).tobytes() == kets_a.tobytes()
-            assert np.array([s.arm_b for s in sub.settings]).tobytes() == kets_b.tobytes()
-            assert [(s.label_a, s.label_b) for s in sub.settings] == [tuple(pair) for pair in labels]
+            assert sub.settings.kets_a.tobytes() == kets_a.tobytes()
+            assert sub.settings.kets_b.tobytes() == kets_b.tobytes()
+            assert list(zip(sub.settings.labels_a, sub.settings.labels_b)) == [tuple(pair) for pair in labels]
             assert sub.counts.tobytes() == counts.tobytes()
-            assert extract_sub_tomography(record, a, b).counts.tobytes() == counts.tobytes()
+            assert sector_records(record, [(a, b)])[0].counts.tobytes() == counts.tobytes()
     # every pair gains a seventh arm ket, the one that leaks ~1e-14 of its weight
     assert [len(sub.settings) for sub in sector_records(records[0], sector_pairs(3))] == [49] * 9
 
 
 def test_extract_insufficient_settings():
     # a record holding only basis settings cannot support a subspace fit
-    from pconcurrence.tomography import ProjectorSetting
-
     kets = [np.eye(3, dtype=complex)[i] for i in range(3)]
-    settings = tuple(ProjectorSetting(a, b) for a in kets for b in kets)
-    record = TomographyRecord(3, 3, 1e3, 1.0, settings, np.full(9, 100.0))
+    record = TomographyRecord(1e3, 1.0, joint_settings(kets, kets), np.full(9, 100.0))
     with pytest.raises(ValueError, match="independent settings"):
-        extract_sub_tomography(record, IndexPair(0, 1), IndexPair(0, 1))
+        sector_records(record, [(IndexPair(0, 1), IndexPair(0, 1))])
 
 
 def test_budget_reproduces_reference_point():
@@ -547,10 +541,9 @@ def test_record_json_round_trip():
     back = record_from_dict(obj)
     assert np.array_equal(back.counts, record.counts)
     assert back.seed == 7
-    for s1, s2 in zip(back.settings, record.settings):
-        assert np.abs(s1.arm_a - s2.arm_a).max() < 1e-15
-        assert np.abs(s1.arm_b - s2.arm_b).max() < 1e-15
-        assert s1.label_a == s2.label_a
+    assert np.abs(back.settings.kets_a - record.settings.kets_a).max() < 1e-15
+    assert np.abs(back.settings.kets_b - record.settings.kets_b).max() < 1e-15
+    assert list(back.settings.labels_a) == list(record.settings.labels_a)
 
 
 def test_save_record_writes_the_indented_json_dump(tmp_path):
@@ -565,19 +558,29 @@ def test_save_record_writes_the_indented_json_dump(tmp_path):
 
 
 def test_record_validation():
-    settings = tuple(bell_settings())
+    settings = bell_settings()
     with pytest.raises(ValueError, match="counts"):
-        TomographyRecord(2, 2, 1e3, 10.0, settings, np.zeros(5))
+        TomographyRecord(1e3, 10.0, settings, np.zeros(5))
     with pytest.raises(ValueError, match="at least one setting"):
-        TomographyRecord(2, 2, 1e3, 10.0, (), np.zeros(0))
+        TomographyRecord(1e3, 10.0, Settings(np.zeros((0, 2)), np.zeros((0, 2))), np.zeros(0))
     with pytest.raises(ValueError, match="nonnegative"):
-        TomographyRecord(2, 2, 1e3, 10.0, settings, np.full(36, -1.0))
+        TomographyRecord(1e3, 10.0, settings, np.full(36, -1.0))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            TomographyRecord(2, 2, 1e3, 10.0, settings, np.where(np.arange(36) == 4, bad, 1.0))
+            TomographyRecord(1e3, 10.0, settings, np.where(np.arange(36) == 4, bad, 1.0))
+    for seed in (-1, True, 1.5, "1", [1, "x"]):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0 or null"):
+            TomographyRecord(1e3, 10.0, settings, np.ones(36), seed=seed)
+    obj = record_to_dict(TomographyRecord(1e3, 10.0, settings, np.ones(36)))
     with pytest.raises(ValueError, match=r"settings\[0\].a has 2 entries, expected dimA = 3"):
-        TomographyRecord(3, 2, 1e3, 10.0, settings, np.ones(36))
-    from pconcurrence.tomography import ProjectorSetting
-
-    with pytest.raises(ValueError, match="not normalized"):
-        ProjectorSetting(np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
+        record_from_dict({**obj, "dimA": 3})
+    with pytest.raises(ValueError, match=r"settings\[0\].a is not normalized"):
+        Settings(np.array([[np.nan, 0.0]]), np.array([[1.0, 0.0]]))
+    # the first unnormalized row is named, arm a before arm b
+    kets = np.eye(2)[[0, 1, 0, 1]]
+    with pytest.raises(ValueError, match=r"settings\[2\].b is not normalized"):
+        Settings(kets, kets * [[1], [1], [1], [2]] + [[0], [0], [1e-9], [0]])
+    with pytest.raises(ValueError, match="one row each"):
+        Settings(kets, kets[:3])
+    with pytest.raises(ValueError, match="one row each"):
+        Settings(kets, kets, ["x"] * 3)
