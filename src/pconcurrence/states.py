@@ -228,7 +228,7 @@ def parse_field(obj: dict, key: str, kind):
     value = require_field(obj, key)
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"field {key!r} is malformed: {value!r:.60}") from None
 
 
@@ -248,7 +248,7 @@ def parse_complex_list(value, field: str) -> list[complex]:
     """
     try:
         z = [complex(re, im) for re, im in value if type(re) is not bool and type(im) is not bool]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         z = None
     if z is None or len(z) != len(value):
         raise ValueError(f"{field} must be a list of [re, im] pairs")

@@ -131,6 +131,17 @@ def _infinite_count(obj):
     obj["counts"][5] = float("inf")
 
 
+HUGE = 10**400  # a JSON integer too large for a float
+
+
+def _huge_count(obj):
+    obj["counts"][0] = HUGE
+
+
+def _huge_rate(obj):
+    obj["rate_hz"] = HUGE
+
+
 def _set(key, value):
     def edit(obj):
         obj[key] = value
@@ -171,6 +182,8 @@ def _drop(key):
         (_boolean_ket_a, "settings[3].a must be a list of [re, im] pairs"),
         (_set("seed", [1, "x"]), "seed must be an integer >= 0 or null, got [1, 'x']"),
         (_set("seed", -1), "seed must be an integer >= 0 or null, got -1"),
+        (_huge_count, f"field 'counts' is malformed: [{str(HUGE)[:59]}"),
+        (_huge_rate, f"field 'rate_hz' is malformed: {str(HUGE)[:60]}"),
     ],
 )
 @pytest.mark.parametrize("command", ["witness", "reconstruct"])
@@ -232,6 +245,21 @@ def test_boolean_state_entries_are_an_error(tmp_path, capsys, kind):
         obj["data"][1], message = [0, False], "data must be a list of [re, im] pairs"
     else:
         obj["data"][1][1], message = [0, False], "data[1] must be a list of [re, im] pairs"
+    path.write_text(json.dumps(obj))
+    assert main(["witness", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("kind", ["ket", "density"])
+def test_state_entry_too_large_for_a_float_is_an_error(tmp_path, capsys, kind):
+    path = tmp_path / "state.json"
+    ket = make_max_entangled(2)
+    save_state(path, ket if kind == "ket" else density_from_ket(ket))
+    obj = json.loads(path.read_text())
+    if kind == "ket":
+        obj["data"][0], message = [HUGE, 0], "data must be a list of [re, im] pairs"
+    else:
+        obj["data"][0][0], message = [HUGE, 0], "data[0] must be a list of [re, im] pairs"
     path.write_text(json.dumps(obj))
     assert main(["witness", str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -35,7 +35,7 @@ from pconcurrence.tomography import (
     sector_records,
     simulate_counts,
 )
-from pconcurrence.witness import IndexPair, project_subspace, sector_pairs
+from pconcurrence.witness import IndexPair, identity_pairing, project_subspace, sector_pairs
 
 BELL = make_max_entangled(2)
 QUTRIT = make_max_entangled(3)
@@ -398,6 +398,22 @@ def test_mle_reaches_the_maximum(records):
         assert len(history) - 1 <= 500
         assert all(history[i + 1] >= history[i] - 1e-9 for i in range(len(history) - 1))
         assert likelihood_certificate(record, rho) <= 1e-3
+
+
+def test_sector_fits_have_no_slow_tail():
+    # The known-pairing sectors of near-uniform d = 5 records, as in the
+    # record benchmark. Most fits take under 10 iterations; a few end in
+    # the slow regime where first-order gains stay near 1e-3 per step, and
+    # a solver that only crawls there takes up to 100.
+    kets = pairwise_overcomplete_kets(5)
+    settings = joint_settings(kets, kets)
+    for seed, decay in enumerate(np.linspace(8.0, 12.0, 4)):
+        record = simulate_counts(density_from_ket(make_spdc_qudit(5, decay)), settings, 1000.0, 10.0, seed=seed)
+        for sub in sector_records(record, identity_pairing(5).pairs):
+            rho, history = reconstruct_mle(sub, return_history=True)
+            assert len(history) - 1 <= 30
+            assert all(history[i + 1] >= history[i] - 1e-9 for i in range(len(history) - 1))
+            assert likelihood_certificate(sub, rho) <= 1e-3
 
 
 def test_sector_records_counts_and_shape():
