@@ -59,6 +59,7 @@ from .witness import (
     report_to_dict,
     sector_pairs,
     sector_report,
+    side_dim,
 )
 
 SWEEP_HEADER = "alpha,beta,pconcurrence,eof_norm,iconcurrence_norm"
@@ -88,12 +89,6 @@ def _sweep_row(alpha: float, beta: float) -> tuple[float, float, float]:
     return report.pconcurrence, eof_n, iconc_n
 
 
-def _sweep_csv(rows: list[tuple[float, float, float, float, float]]) -> str:
-    lines = [SWEEP_HEADER]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def cmd_measure(args: argparse.Namespace) -> int:
     state = _load_input(args.state_file)
     if isinstance(state, TomographyRecord):
@@ -114,32 +109,24 @@ def cmd_measure(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def _write_grid(args: argparse.Namespace, path: bool) -> int:
+    """CSV of the alpha-beta grid at spacing 1/grid-n; the path is its beta = 1 column."""
     if args.grid_n < 2:
         raise ValueError(f"grid-n must be >= 2, got {args.grid_n}")
-    rows = []
-    for i in range(args.grid_n + 1):
-        for j in range(args.grid_n + 1):
-            alpha = i / args.grid_n
-            beta = j / args.grid_n
-            p, e, c = _sweep_row(alpha, beta)
-            rows.append((alpha, beta, p, e, c))
-    _write_text(args.out, _sweep_csv(rows))
+    steps = [i / args.grid_n for i in range(args.grid_n + 1)]
+    rows = [(a, b, *_sweep_row(a, b)) for a in steps for b in ([1.0] if path else steps)]
+    lines = [SWEEP_HEADER] + [",".join(_fmt(v) for v in row) for row in rows]
+    _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    return _write_grid(args, path=False)
 
 
 def cmd_path(args: argparse.Namespace) -> int:
-    if args.grid_n < 2:
-        raise ValueError(f"grid-n must be >= 2, got {args.grid_n}")
-    rows = []
-    for i in range(args.grid_n + 1):
-        alpha = i / args.grid_n
-        p, e, c = _sweep_row(alpha, 1.0)
-        rows.append((alpha, 1.0, p, e, c))
-    _write_text(args.out, _sweep_csv(rows))
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return _write_grid(args, path=True)
 
 
 def _settings_for(choice: str, dim_a: int, dim_b: int):
@@ -193,27 +180,24 @@ def _print_report(report: WitnessReport) -> None:
     print(f"{'pconcurrence (' + report.search_mode + ')':<26} {report.pconcurrence:>11.2f}")
 
 
-def _witness_from_record(record: TomographyRecord, mode: str) -> WitnessReport:
+def _witness_from_record(record: TomographyRecord, search: bool) -> WitnessReport:
     """Per-subspace extraction + MLE reconstruction, then score and pair."""
-    if record.dim_a != record.dim_b:
-        raise ValueError("witness needs equal side dimensions")
-    if mode == "known":
-        pairs, search = identity_pairing(record.dim_a).pairs, None
-    else:
-        pairs, search = sector_pairs(record.dim_a), "auto"
+    d = side_dim(record.dim_a, record.dim_b)
+    pairs = sector_pairs(d) if search else identity_pairing(d).pairs
     return sector_report(pairs, *sector_estimates(record, pairs), search=search)
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
     source = _load_input(args.input_file)
+    search = args.pairing == "search"
     if isinstance(source, TomographyRecord):
-        report = _witness_from_record(source, args.pairing)
+        report = _witness_from_record(source, search)
     else:
         rho = as_density(source)
-        if args.pairing == "known":
-            report = pconcurrence_known(rho, identity_pairing(rho.dim_a))
+        if search:
+            report = pconcurrence_search(rho)
         else:
-            report = pconcurrence_search(rho, mode="auto")
+            report = pconcurrence_known(rho, identity_pairing(rho.dim_a))
     _print_report(report)
     if args.out:
         _write_text(args.out, json.dumps(report_to_dict(report), indent=2) + "\n")

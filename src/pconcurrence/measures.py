@@ -215,7 +215,5 @@ def evaluate_measure(
         from .witness import identity_pairing, pconcurrence_known
 
         rho = as_density(state)
-        if rho.dim_a != rho.dim_b:
-            raise ValueError("pconcurrence needs equal side dimensions")
         raw = pconcurrence_known(rho, identity_pairing(rho.dim_a)).pconcurrence
     return MeasureValue(raw=raw, normalized=normalize_measure(raw, measure_name, d), measure_name=measure_name)

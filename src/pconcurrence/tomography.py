@@ -672,6 +672,7 @@ def budget(d: int, integration_time_s: float = 10.0) -> Budget:
     """Measurement counts and times: 36 K subspace settings vs (2d^2-d)^2 full QST."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
+    _check_positive("integration_time_s", integration_time_s)
     k = count_subspaces(d)
     pconc = 36 * k
     qst = (2 * d * d - d) ** 2
@@ -747,6 +748,8 @@ def _arm_ket(value, i: int, arm: str, dim: int) -> list[complex]:
 
 
 def record_from_dict(obj: dict) -> TomographyRecord:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a record must be a JSON object, got a {type(obj).__name__}")
     if not isinstance(obj.get("settings"), list):
         raise ValueError("field 'settings' must be a list of setting objects")
     dim_a, dim_b = parse_dim(obj, "dimA"), parse_dim(obj, "dimB")

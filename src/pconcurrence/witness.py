@@ -5,8 +5,8 @@ The product of the Wootters concurrences over a bijective pairing of
 A-sectors with B-sectors is an entanglement measure that vanishes unless
 entanglement survives in every sector, which makes it a dimension
 witness. When the correlation-preserving pairing is unknown, the maximum
-over all K! pairings is taken, either by enumeration or as an exact
-linear-assignment problem on log-concurrences.
+over all K! pairings is taken exactly, as a linear-assignment problem on
+log-concurrences.
 
 Sectors are scored as stacks: sector_states gathers them from a density
 matrix with one fancy index, and sector_report scores any stack (record
@@ -75,7 +75,7 @@ class WitnessReport:
     subspace_rows: tuple[SubspaceRow, ...]
     pconcurrence: float
     pairing_used: SubspacePairing
-    search_mode: str  # known | brute_force | assignment
+    search_mode: str  # known | assignment
 
     def __post_init__(self):
         prod = math.prod(row.concurrence for row in self.subspace_rows)
@@ -158,26 +158,25 @@ def sector_report(
     pairs: Sequence[tuple[IndexPair, IndexPair]],
     states: np.ndarray,
     weights: np.ndarray,
-    search: str | None = None,
+    search: bool = False,
 ) -> WitnessReport:
     """The one row builder: score a stack of sector states, pick and build rows.
 
     states[i] (unit trace) and weights[i] belong to sector pairs[i], from
     sector_states or from per-sector record estimates. A sector with weight
     below WEIGHT_FLOOR holds no entanglement: it scores concurrence 0,
-    fidelity 0 and weight 0. With search None, pairs is the pairing and
-    every sector is a row; otherwise pairs is the sector_pairs(d) table and
-    maximize_over_pairings(search) picks the rows. Bell fidelities are
-    evaluated for the reported rows only.
+    fidelity 0 and weight 0. Without search, pairs is the pairing and
+    every sector is a row; with it, pairs is the sector_pairs(d) table and
+    maximize_over_pairings picks the rows. Bell fidelities are evaluated
+    for the reported rows only.
     """
     live = weights >= WEIGHT_FLOOR
     conc = np.zeros(len(pairs))
     conc[live] = wootters_concurrences(states[live])
-    mode = "known"
     chosen = range(len(pairs))
-    if search is not None:
+    if search:
         k = math.isqrt(len(pairs))
-        perm, mode = maximize_over_pairings(conc.reshape(k, k), search)
+        perm = maximize_over_pairings(conc.reshape(k, k))
         chosen = [i * k + j for i, j in enumerate(perm)]
     rows = tuple(
         SubspaceRow(
@@ -192,8 +191,15 @@ def sector_report(
         subspace_rows=rows,
         pconcurrence=math.prod(r.concurrence for r in rows),
         pairing_used=SubspacePairing(tuple((r.a, r.b) for r in rows)),
-        search_mode=mode,
+        search_mode="assignment" if search else "known",
     )
+
+
+def side_dim(dim_a: int, dim_b: int) -> int:
+    """The common side dimension d of a d x d state, the only shape the witness takes."""
+    if dim_a != dim_b:
+        raise ValueError(f"need equal side dimensions, got ({dim_a}, {dim_b})")
+    return dim_a
 
 
 def _check_pairing(pairing: SubspacePairing, d: int) -> None:
@@ -213,53 +219,35 @@ def pconcurrence_known(rho: DensityMatrix, pairing: SubspacePairing) -> WitnessR
     two-qubit maximally entangled state (in subspace coordinates) and the
     sector weight; weights do not enter the product.
     """
-    if rho.dim_a != rho.dim_b:
-        raise ValueError(f"need equal side dimensions, got ({rho.dim_a}, {rho.dim_b})")
-    _check_pairing(pairing, rho.dim_a)
+    _check_pairing(pairing, side_dim(rho.dim_a, rho.dim_b))
     return sector_report(pairing.pairs, *sector_states(rho, pairing.pairs))
 
 
-def maximize_over_pairings(conc: np.ndarray, mode: str = "auto") -> tuple[tuple[int, ...], str]:
+def maximize_over_pairings(conc: np.ndarray) -> tuple[int, ...]:
     """Pick the bijection of A-sectors to B-sectors maximizing the product.
 
     conc[i, j] is the concurrence of A-pair i against B-pair j
-    (lexicographic order on both sides). Returns (perm, mode used), perm[i]
-    being the B-pair matched with A-pair i. brute_force enumerates every
-    bijection; assignment solves the exact equivalent max sum of
-    log-concurrences, with zero entries as forbidden edges (when no
-    zero-free bijection exists the maximum is 0). auto picks brute_force
-    for K <= 8 and assignment above.
+    (lexicographic order on both sides); perm[i] is the B-pair matched with
+    A-pair i. Solved exactly as the equivalent maximum sum of
+    log-concurrences, a linear assignment with zero entries as forbidden
+    edges. When every bijection meets a zero, the maximum is 0 and the
+    identity is returned.
     """
-    if mode not in ("brute_force", "assignment", "auto"):
-        raise ValueError(f"mode must be brute_force, assignment or auto, got {mode!r}")
     conc = np.asarray(conc, dtype=float)
-    k = len(conc)
-    if mode == "auto":
-        mode = "brute_force" if k <= 8 else "assignment"
-
-    if mode == "brute_force":
-        best_perm, best_val = None, -1.0
-        for perm in itertools.permutations(range(k)):
-            val = math.prod(conc[i][j] for i, j in enumerate(perm))
-            if val > best_val:
-                best_perm, best_val = perm, val
-        return best_perm, mode
-
-    log_conc = np.full((k, k), _FORBIDDEN_LOG)
     positive = conc > 0.0
+    log_conc = np.full(conc.shape, _FORBIDDEN_LOG)
     log_conc[positive] = np.log(conc[positive])
-    rows_idx, cols_idx = linear_sum_assignment(log_conc, maximize=True)
-    # If any chosen edge is forbidden, no zero-free bijection exists and the
-    # row product comes out 0, which is then the true maximum.
-    return tuple(int(j) for j in cols_idx[np.argsort(rows_idx)]), mode
+    # For a square matrix the row indices come back as 0..K-1.
+    rows, cols = linear_sum_assignment(log_conc, maximize=True)
+    if not positive[rows, cols].all():
+        return tuple(range(len(conc)))
+    return tuple(int(j) for j in cols)
 
 
-def pconcurrence_search(rho: DensityMatrix, mode: str = "auto") -> WitnessReport:
+def pconcurrence_search(rho: DensityMatrix) -> WitnessReport:
     """Maximize the concurrence product over all K! subspace pairings."""
-    if rho.dim_a != rho.dim_b:
-        raise ValueError(f"need equal side dimensions, got ({rho.dim_a}, {rho.dim_b})")
-    pairs = sector_pairs(rho.dim_a)
-    return sector_report(pairs, *sector_states(rho, pairs), search=mode)
+    pairs = sector_pairs(side_dim(rho.dim_a, rho.dim_b))
+    return sector_report(pairs, *sector_states(rho, pairs), search=True)
 
 
 def report_to_dict(report: WitnessReport) -> dict:

@@ -155,25 +155,33 @@ def test_criterion_4_surface_and_path():
         assert elapsed < 30.0
 
 
-def test_criterion_5_pairing_search_correctness():
+def test_criterion_5_pairing_search_correctness(enumerated_search):
     with criterion(5, "assignment search equals brute force; permutation invariant"):
         start = time.perf_counter()
         rng = np.random.default_rng(5)
         for d in (3, 4):
-            for _ in range(50):
-                rho = density_from_ket(random_ket(rng, d))
-                brute = pconcurrence_search(rho, mode="brute_force").pconcurrence
-                assign = pconcurrence_search(rho, mode="assignment").pconcurrence
-                assert abs(brute - assign) < 1e-9
+            pairs = enumerate_pairs(d)
+            for n in range(50):
+                if n % 2:  # full-rank mixed
+                    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+                    rho = validate_density(g @ g.conj().T / np.linalg.norm(g) ** 2, (d, d))
+                else:
+                    rho = density_from_ket(random_ket(rng, d))
+                perm, product = enumerated_search(rho)
+                found = pconcurrence_search(rho)
+                assert abs(found.pconcurrence - product) < 1e-9
+                if product > 0:
+                    expected = tuple((pairs[i], pairs[j]) for i, j in enumerate(perm))
+                    assert found.pairing_used.pairs == expected
 
         for _ in range(10):
             rho = density_from_ket(random_ket(rng, 3))
-            base = pconcurrence_search(rho, mode="assignment").pconcurrence
+            base = pconcurrence_search(rho).pconcurrence
             pa = np.eye(3)[rng.permutation(3)]
             pb = np.eye(3)[rng.permutation(3)]
             u = np.kron(pa, pb)
             moved = validate_density(u @ rho.matrix @ u.conj().T, (3, 3))
-            assert abs(pconcurrence_search(moved, mode="assignment").pconcurrence - base) < 1e-8
+            assert abs(pconcurrence_search(moved).pconcurrence - base) < 1e-8
 
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0

@@ -5,6 +5,7 @@ import pytest
 
 from pconcurrence.cli import SWEEP_HEADER, main
 from pconcurrence.states import (
+    BipartiteKet,
     DensityMatrix,
     SpdcParams,
     density_from_ket,
@@ -197,6 +198,35 @@ def test_malformed_record_is_an_error(tmp_path, max_qutrit_file, capsys, edit, m
     argv = [command, str(record)] + (["--out", str(tmp_path / "out.json")] if command == "reconstruct" else [])
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ('"x"', "str"), ("null", "NoneType")])
+def test_reconstruct_non_object_record_is_an_error(tmp_path, capsys, text, kind):
+    record = tmp_path / "record.json"
+    record.write_text(text)
+    assert main(["reconstruct", str(record), "--out", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr() == ("", f"error: a record must be a JSON object, got a {kind}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "ket.json", "--pairing", "known"],
+        ["witness", "ket.json", "--pairing", "search"],
+        ["witness", "record.json", "--pairing", "known"],
+        ["witness", "record.json", "--pairing", "search"],
+        ["measure", "ket.json", "--measure", "pconcurrence"],
+    ],
+)
+def test_unequal_sides_are_an_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    amp = np.zeros(6)
+    amp[[0, 4]] = 1 / np.sqrt(2)  # (|00> + |11>) / sqrt(2) in 2 x 3
+    save_state("ket.json", BipartiteKet(2, 3, amp))
+    assert main(["simulate", "ket.json", "--time-s", "1", "--out", "record.json"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: need equal side dimensions, got (2, 3)\n")
 
 
 @pytest.mark.parametrize(
@@ -455,7 +485,7 @@ def test_witness_search_mode(tmp_path, capsys):
     path = tmp_path / "state.json"
     save_state(path, make_max_entangled(3))
     assert main(["witness", str(path), "--pairing", "search"]) == 0
-    assert "1.00" in capsys.readouterr().out
+    assert capsys.readouterr().out.endswith("\npconcurrence (assignment)         1.00\n")
 
 
 def test_witness_from_record_pipeline(tmp_path, max_qutrit_file, capsys):
@@ -530,6 +560,12 @@ def test_budget_text_and_json(tmp_path, capsys):
     assert payload["pconc_measurements"] == 108
     assert payload["qst_measurements"] == 225
     assert json.loads(json_out.read_text()) == payload
+
+
+@pytest.mark.parametrize("time_s, shown", [("-5", "-5.0"), ("nan", "nan"), ("0", "0.0")])
+def test_budget_rejects_non_positive_time(capsys, time_s, shown):
+    assert main(["budget", "3", "--time-s", time_s]) == 1
+    assert capsys.readouterr() == ("", f"error: integration_time_s must be finite and positive, got {shown}\n")
 
 
 def test_footer_rounding_two_decimals():

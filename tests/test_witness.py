@@ -178,7 +178,7 @@ def test_search_identity_is_optimal_for_spdc_family():
         alpha, beta = rng.uniform(0.05, 1.0, size=2)
         rho = qutrit_density(alpha, beta)
         known = pconcurrence_known(rho, identity_pairing(3))
-        found = pconcurrence_search(rho, mode="brute_force")
+        found = pconcurrence_search(rho)
         assert abs(found.pconcurrence - known.pconcurrence) < 1e-9
         assert found.pconcurrence >= known.pconcurrence - 1e-9
 
@@ -194,33 +194,52 @@ def test_search_recovers_permuted_basis():
         perm[j, i] = 1.0
     u = np.kron(np.eye(d), perm)
     permuted = validate_density(u @ rho.matrix @ u.conj().T, (d, d))
-    found = pconcurrence_search(permuted, mode="brute_force")
+    found = pconcurrence_search(permuted)
     assert abs(found.pconcurrence - 1.0) < 1e-9
     known = pconcurrence_known(permuted, identity_pairing(d))
     assert known.pconcurrence < found.pconcurrence - 0.5
 
 
-def test_search_maximally_mixed_is_zero():
-    rho = validate_density(np.eye(9, dtype=complex) / 9, (3, 3))
-    for mode in ("brute_force", "assignment"):
-        assert pconcurrence_search(rho, mode=mode).pconcurrence == 0.0
+def _embedded_shifted_qutrit():
+    # sum_i |i>|i+1 mod 3> inside d = 4: the positive sectors sit off the
+    # identity pairing, and every A-pair holding level 3 scores 0 against
+    # all B-pairs, so no bijection has a positive product.
+    amp = np.zeros((4, 4))
+    for i in range(3):
+        amp[i, (i + 1) % 3] = 1 / np.sqrt(3)
+    return density_from_ket(BipartiteKet(4, 4, amp.ravel()))
 
 
-def test_assignment_equals_brute_force():
+@pytest.mark.parametrize(
+    "rho",
+    [validate_density(np.eye(9, dtype=complex) / 9, (3, 3)), _embedded_shifted_qutrit()],
+    ids=["maximally_mixed_d3", "embedded_qutrit_d4"],
+)
+def test_zero_maximum_search_reports_identity_pairing(rho):
+    report = pconcurrence_search(rho)
+    assert report.pconcurrence == 0.0
+    assert report.pairing_used == identity_pairing(rho.dim_a)
+
+
+def test_assignment_equals_brute_force(enumerated_search):
     rng = np.random.default_rng(47)
     for d in (3, 4):
-        for _ in range(50):
-            rho = density_from_ket(random_ket(rng, d))
-            brute = pconcurrence_search(rho, mode="brute_force")
-            assign = pconcurrence_search(rho, mode="assignment")
-            assert abs(brute.pconcurrence - assign.pconcurrence) < 1e-9
+        pairs = enumerate_pairs(d)
+        for rank in (1, 2, d * d):  # pure, rank 2, full rank
+            for _ in range(20):
+                rho = random_density(rng, d, rank, sparse=False)
+                perm, product = enumerated_search(rho)
+                found = pconcurrence_search(rho)
+                assert abs(found.pconcurrence - product) < 1e-9
+                # the zero rule makes the pairings agree when the maximum is 0 too
+                expected = tuple((pairs[i], pairs[j]) for i, j in enumerate(perm))
+                assert found.pairing_used.pairs == expected
 
 
-def test_auto_mode_selection():
-    rho3 = density_from_ket(make_max_entangled(3))
-    assert pconcurrence_search(rho3, mode="auto").search_mode == "brute_force"
-    rho5 = density_from_ket(make_max_entangled(5))
-    assert pconcurrence_search(rho5, mode="auto").search_mode == "assignment"
+@pytest.mark.parametrize("d", [3, 5])
+def test_search_reports_assignment(d):
+    rho = density_from_ket(make_max_entangled(d))
+    assert pconcurrence_search(rho).search_mode == "assignment"
 
 
 def test_search_permutation_invariance():
@@ -228,12 +247,12 @@ def test_search_permutation_invariance():
     d = 3
     for _ in range(10):
         rho = density_from_ket(random_ket(rng, d))
-        base = pconcurrence_search(rho, mode="brute_force").pconcurrence
+        base = pconcurrence_search(rho).pconcurrence
         pa = np.eye(d)[rng.permutation(d)]
         pb = np.eye(d)[rng.permutation(d)]
         u = np.kron(pa, pb)
         moved = validate_density(u @ rho.matrix @ u.conj().T, (d, d))
-        assert abs(pconcurrence_search(moved, mode="brute_force").pconcurrence - base) < 1e-8
+        assert abs(pconcurrence_search(moved).pconcurrence - base) < 1e-8
 
 
 def test_max_entangled_every_sector_is_bell():
@@ -249,7 +268,7 @@ def test_search_dominates_any_fixed_pairing():
     pairs = enumerate_pairs(3)
     for _ in range(10):
         rho = density_from_ket(random_ket(rng, 3))
-        best = pconcurrence_search(rho, mode="brute_force").pconcurrence
+        best = pconcurrence_search(rho).pconcurrence
         for perm in itertools.permutations(range(3)):
             pairing = SubspacePairing(tuple((pairs[i], pairs[j]) for i, j in enumerate(perm)))
             assert best >= pconcurrence_known(rho, pairing).pconcurrence - 1e-9
