@@ -161,14 +161,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     record = load_record(args.record_file)
+    target = as_density(load_state(args.target)) if args.target else None
+    dims = (record.dim_a, record.dim_b)
+    if target is not None and (target.dim_a, target.dim_b) != dims:
+        raise ValueError(f"target dims {(target.dim_a, target.dim_b)} do not match the record's dims {dims}")
     rho = reconstruct_linear(record) if args.method == "linear" else reconstruct_mle(record)
     save_state(args.out, rho)
     print(f"reconstructed ({args.method}) -> {args.out}")
     print(f"purity: {purity(rho):.6f}")
-    if args.target:
-        target = load_state(args.target)
-        fid = uhlmann_fidelity(rho, as_density(target))
-        print(f"fidelity to target: {fid:.6f}")
+    if target is not None:
+        print(f"fidelity to target: {uhlmann_fidelity(rho, target):.6f}")
     return 0
 
 

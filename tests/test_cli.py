@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +360,28 @@ def test_reconstruct_target_accepts_every_gated_state(tmp_path, max_qutrit_file,
     argv = ["reconstruct", str(record), "--target", target, "--out", str(tmp_path / "rho.json")]
     assert main(argv) == 0
     assert "fidelity to target:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("bell.json", "target dims (2, 2) do not match the record's dims (3, 3)"),
+        ("no_data.json", "field 'data' is missing"),
+        ("missing.json", "[Errno 2] No such file or directory: 'missing.json'"),
+    ],
+    ids=["other_dims", "malformed", "missing"],
+)
+@pytest.mark.parametrize("method", ["linear", "mle"])
+def test_reconstruct_bad_target_writes_nothing(tmp_path, monkeypatch, max_qutrit_file, capsys, target, message, method):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", max_qutrit_file, "--time-s", "1", "--out", "record.json"]) == 0
+    save_state("bell.json", make_max_entangled(2))
+    Path("no_data.json").write_text(json.dumps({"type": "ket", "dimA": 3, "dimB": 3}))
+    capsys.readouterr()
+    argv = ["reconstruct", "record.json", "--method", method, "--target", target, "--out", "rho.json"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not Path("rho.json").exists()
 
 
 def test_sweep_endpoints_and_header(tmp_path, capsys):

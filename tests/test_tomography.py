@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from pconcurrence.tomography import (
     born_probabilities,
     budget,
     budget_to_dict,
+    frequencies,
     joint_settings,
     mub_ket_labels,
     mub_kets,
@@ -61,11 +63,12 @@ def noiseless_record(state, settings, scale=1e4):
     return simulate_counts(density_from_ket(state), settings, rate_hz=scale, integration_time_s=1.0, poisson=False)
 
 
-def random_density(d, rank, seed):
+def random_density(d, rank, seed, d_b=None):
+    d_b = d if d_b is None else d_b
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(d * d, rank)) + 1j * rng.normal(size=(d * d, rank))
+    g = rng.normal(size=(d * d_b, rank)) + 1j * rng.normal(size=(d * d_b, rank))
     m = g @ g.conj().T
-    return validate_density(m / np.trace(m).real, (d, d))
+    return validate_density(m / np.trace(m).real, (d, d_b))
 
 
 def setting_sets():
@@ -295,6 +298,10 @@ def test_hermitian_coefficients_scatter_matches_basis_sum():
         coeff = rng.normal(size=n * n) * rng.choice([1.0, 0.0, -0.0], size=n * n)
         explicit = sum(c * g for c, g in zip(coeff, hermitian_basis(n)))
         assert _hermitian_from_coefficients(coeff, n).tobytes() == explicit.tobytes()
+    # complex coefficients, stacked on leading axes
+    coeff = rng.normal(size=(2, 3, 16)) + 1j * rng.normal(size=(2, 3, 16))
+    explicit = np.tensordot(coeff, np.array(hermitian_basis(4)), 1)
+    assert np.abs(_hermitian_from_coefficients(coeff, 4) - explicit).max() < 1e-15
 
 
 def test_joint_kets_match_kron():
@@ -311,9 +318,74 @@ def test_reconstruct_linear_rejects_rank_deficient():
     ket0 = np.array([1, 0], dtype=complex)
     ket1 = np.array([0, 1], dtype=complex)
     basis_only = joint_settings([ket0, ket1], [ket0, ket1])
-    record = TomographyRecord(1e4, 1.0, basis_only, np.full(4, 2500.0))
-    with pytest.raises(ValueError, match="rank-deficient"):
-        reconstruct_linear(record)
+    # a grid (per-arm solve), and the same settings with one repeated (joint solve)
+    for settings in (basis_only, take(basis_only, [0, 1, 2, 3, 0])):
+        record = TomographyRecord(1e4, 1.0, settings, np.full(len(settings), 2500.0))
+        with pytest.raises(ValueError, match="rank-deficient: design rank 4 < 16"):
+            reconstruct_linear(record)
+
+
+def literal_design(settings):
+    """The (m, n^2) joint design <v_j|G_k|v_j> of the literal basis, and that basis."""
+    n = settings.kets_a.shape[1] * settings.kets_b.shape[1]
+    basis = np.array(hermitian_basis(n))
+    V = settings.joint_kets()
+    outer = (V.conj()[:, :, None] * V[:, None, :]).reshape(len(V), n * n)  # conj(v_i) v_l
+    return (outer @ basis.reshape(n * n, n * n).T).real, basis
+
+
+def joint_least_squares(design, basis, freq):
+    """The joint fit: lstsq on the whole design, then the PSD clip."""
+    coeff, _, rank, _ = np.linalg.lstsq(design, freq, rcond=None)
+    assert rank == len(basis)
+    w, v = np.linalg.eigh(np.tensordot(coeff, basis, 1))
+    rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_reconstruct_linear_matches_the_joint_solve():
+    # grid records take the per-arm solve, the others the joint one; every result equals the joint fit
+    arms32 = joint_settings(pairwise_overcomplete_kets(3), pairwise_overcomplete_kets(2))
+    for name, dims, settings in [*((n, (d, d), s) for n, d, s in setting_sets()), ("pairwise3x2", (3, 2), arms32)]:
+        rho = random_density(dims[0], 2, len(settings), d_b=dims[1])
+        design, basis = literal_design(settings)
+        m = len(settings)
+        rng = np.random.default_rng(m)
+        orders = {
+            "grid": np.arange(m),
+            "shuffled": rng.permutation(m),
+            "dropped": np.delete(np.arange(m), m // 3),
+            "repeated": np.append(np.arange(m), m // 2),
+            "replaced": np.where(np.arange(m) == m // 3, m // 2, np.arange(m)),  # m rows, not a grid
+        }
+        for poisson in (True, False):
+            simulated = simulate_counts(rho, settings, 1e3, 1.0, seed=3, poisson=poisson)
+            for order, rows in orders.items():
+                record = replace(simulated, settings=take(settings, rows), counts=simulated.counts[rows])
+                expected = joint_least_squares(design[rows], basis, frequencies(record))
+                got = reconstruct_linear(record).matrix
+                assert np.abs(got - expected).max() < 1e-12, (name, order, poisson)
+
+
+def test_reconstruct_linear_solves_a_grid_per_arm(monkeypatch):
+    # lstsq sees the joint design only for a record that is not a grid
+    shapes = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond: shapes.append(a.shape) or lstsq(a, b, rcond=rcond))
+    record = noiseless_record(QUTRIT, take(qutrit_settings(), np.random.default_rng(0).permutation(225)))
+    reconstruct_linear(record)
+    assert shapes == [(15, 9), (15, 9)]
+    shapes.clear()
+    reconstruct_linear(replace(record, settings=take(record.settings, slice(1, None)), counts=record.counts[1:]))
+    assert shapes == [(224, 81), (1, 1)]
+
+
+def test_reconstruct_linear_round_trip_at_d8():
+    # 14 400 settings, whose joint design would take 472 MB
+    kets = pairwise_overcomplete_kets(8)
+    state = make_spdc_qudit(8, 1.5)
+    record = noiseless_record(state, joint_settings(kets, kets))
+    assert uhlmann_fidelity(reconstruct_linear(record), density_from_ket(state)) >= 0.9999
 
 
 def test_reconstruct_mle_noiseless_bell():
