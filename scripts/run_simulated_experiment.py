@@ -16,9 +16,7 @@ from pconcurrence.measures import purity, uhlmann_fidelity
 from pconcurrence.states import density_from_ket, make_spdc_qudit
 from pconcurrence.tomography import (
     budget,
-    joint_settings,
-    pairwise_ket_labels,
-    pairwise_overcomplete_kets,
+    family_settings,
     reconstruct_mle,
     sector_estimates,
     simulate_counts,
@@ -40,9 +38,7 @@ def main():
     print(f"source: {args.dim}-dimensional pair state, decay {args.decay}")
     print(f"amplitudes: {np.round(ket.amplitude_matrix().diagonal().real, 4)}")
 
-    kets = pairwise_overcomplete_kets(args.dim)
-    labels = pairwise_ket_labels(args.dim)
-    settings = joint_settings(kets, kets, labels, labels)
+    settings = family_settings("pairwise", args.dim, args.dim)
     record = simulate_counts(truth, settings, args.rate_hz, args.time_s, seed=args.seed)
     print(f"simulated {len(settings)} joint settings at {args.rate_hz:g} Hz x {args.time_s:g} s")
 

@@ -37,12 +37,11 @@ from .tomography import (
     Budget,
     Settings,
     TomographyRecord,
+    arm_kets,
     budget,
+    family_settings,
     joint_settings,
     load_record,
-    mub_kets,
-    pairwise_overcomplete_kets,
-    qubit_setting_kets,
     reconstruct_linear,
     reconstruct_mle,
     save_record,

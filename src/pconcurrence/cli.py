@@ -34,16 +34,12 @@ from .states import (
     state_from_dict,
 )
 from .tomography import (
+    FAMILIES,
     TomographyRecord,
     budget,
     budget_to_dict,
-    joint_settings,
+    family_settings,
     load_record,
-    mub_ket_labels,
-    mub_kets,
-    pairwise_ket_labels,
-    pairwise_overcomplete_kets,
-    qubit_setting_kets,
     reconstruct_linear,
     reconstruct_mle,
     record_from_dict,
@@ -129,30 +125,17 @@ def cmd_path(args: argparse.Namespace) -> int:
     return _write_grid(args, path=True)
 
 
-def _settings_for(choice: str, dim_a: int, dim_b: int):
-    if choice == "qubit36":
-        if (dim_a, dim_b) != (2, 2):
-            raise ValueError("qubit36 settings need a 2x2 state")
-        kets = qubit_setting_kets()
-        labels = pairwise_ket_labels(2)
-        return joint_settings(kets, kets, labels, labels)
-    if choice == "pairwise":
-        ka, kb = pairwise_overcomplete_kets(dim_a), pairwise_overcomplete_kets(dim_b)
-        la, lb = pairwise_ket_labels(dim_a), pairwise_ket_labels(dim_b)
-        return joint_settings(ka, kb, la, lb)
-    if choice == "mub":
-        ka, kb = mub_kets(dim_a), mub_kets(dim_b)
-        la, lb = mub_ket_labels(dim_a), mub_ket_labels(dim_b)
-        return joint_settings(ka, kb, la, lb)
-    raise ValueError(f"unknown settings choice {choice!r}")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     state = _load_input(args.state_file)
     if isinstance(state, TomographyRecord):
         raise ValueError("simulate expects a state file, not a tomography record")
     rho = as_density(state)
-    settings = _settings_for(args.settings, rho.dim_a, rho.dim_b)
+    family = args.settings
+    if family == "qubit36":  # the pairwise set of a 2 x 2 state
+        if (rho.dim_a, rho.dim_b) != (2, 2):
+            raise ValueError("qubit36 settings need a 2x2 state")
+        family = "pairwise"
+    settings = family_settings(family, rho.dim_a, rho.dim_b)
     record = simulate_counts(rho, settings, args.rate_hz, args.time_s, seed=args.seed)
     save_record(args.out, record)
     print(f"wrote {len(settings)} settings with counts to {args.out}")
@@ -253,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate coincidence counts for a state")
     p.add_argument("state_file")
-    p.add_argument("--settings", choices=("qubit36", "pairwise", "mub"), default="pairwise")
+    p.add_argument("--settings", choices=("qubit36", *FAMILIES), default="pairwise")
     p.add_argument("--rate-hz", type=float, default=1000.0, dest="rate_hz")
     p.add_argument("--time-s", type=float, default=10.0, dest="time_s")
     p.add_argument("--seed", type=int, default=0)

@@ -11,12 +11,11 @@ likelihood.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +23,9 @@ import numpy as np
 from .states import KET_NORM_ATOL, DensityMatrix, parse_complex_list, parse_dim, parse_field, validate_density
 from .witness import WEIGHT_FLOOR, IndexPair, count_subspaces
 
-SUPERPOSITION_PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
-_PHASE_DEG = (0, 90, 180, 270)
-
 PROB_FLOOR = 1e-15
+# numpy's largest Poisson mean (POISSON_LAM_MAX of numpy.random); a larger one raises "lam value too large".
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 SUPPORT_ATOL = 1e-12
 
 
@@ -134,21 +132,8 @@ class Budget:
 # --- measurement sets -------------------------------------------------------
 
 
-def _basis_ket(d: int, i: int) -> np.ndarray:
-    v = np.zeros(d, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
-def _superposition_ket(d: int, lo: int, hi: int, theta: float) -> np.ndarray:
-    v = np.zeros(d, dtype=complex)
-    v[lo] = 1.0
-    v[hi] = np.exp(1j * theta)
-    return v / math.sqrt(2.0)
-
-
-def pairwise_overcomplete_kets(d: int) -> list[np.ndarray]:
-    """The d basis kets plus 4 phase superpositions for every index pair.
+def _pairwise_arm(d: int) -> tuple[np.ndarray, list[str]]:
+    """The d basis kets, then (|lo> + e^{i k pi/2}|hi>)/sqrt(2), k = 0..3, for each pair lo < hi.
 
     Gives d + 2d(d-1) kets per arm; jointly (2d^2 - d)^2 settings, the
     standard overcomplete qudit tomography count. Restricting to one index
@@ -157,63 +142,48 @@ def pairwise_overcomplete_kets(d: int) -> list[np.ndarray]:
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    kets = [_basis_ket(d, i) for i in range(d)]
-    for lo, hi in itertools.combinations(range(d), 2):
-        kets.extend(_superposition_ket(d, lo, hi, th) for th in SUPERPOSITION_PHASES)
-    return kets
+    lo, hi = (np.repeat(ix, 4) for ix in np.triu_indices(d, 1))
+    k = np.tile(np.arange(4), len(lo) // 4)
+    rows, sup = np.arange(len(lo)), np.zeros((len(lo), d), dtype=complex)
+    sup[rows, lo] = 1.0
+    sup[rows, hi] = np.exp(1j * (k * math.pi / 2))
+    labels = [f"basis:{i}" for i in range(d)] + [f"sup:{a}+{b}:theta={90 * t}" for a, b, t in zip(lo, hi, k)]
+    return np.concatenate([np.eye(d, dtype=complex), sup / math.sqrt(2.0)]), labels
 
 
-def qubit_setting_kets() -> list[np.ndarray]:
-    """The overcomplete single-qubit set: |0>, |1>, (|0> + e^{i theta}|1>)/sqrt(2)."""
-    return pairwise_overcomplete_kets(2)
-
-
-def pairwise_ket_labels(d: int) -> list[str]:
-    labels = [f"basis:{i}" for i in range(d)]
-    for lo, hi in itertools.combinations(range(d), 2):
-        labels.extend(f"sup:{lo}+{hi}:theta={deg}" for deg in _PHASE_DEG)
-    return labels
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % p for p in range(2, int(math.isqrt(n)) + 1))
-
-
-def mub_kets(d: int) -> list[np.ndarray]:
-    """A complete set of d+1 mutually unbiased bases for prime d, flattened.
+def _mub_arm(d: int) -> tuple[np.ndarray, list[str]]:
+    """A complete set of d+1 mutually unbiased bases for prime d, basis after basis.
 
     For odd primes the d extra bases have components w^(b j^2 + m j)/sqrt(d)
     with w = exp(2 pi i / d); d = 2 uses the computational, diagonal and
-    circular bases. Prime powers are not constructed.
+    circular bases, which are the pairwise qubit kets with the phases in
+    the order 0, 180, 90, 270 degrees. Prime powers are not constructed.
     """
-    if not _is_prime(d):
+    if d < 2 or any(d % p == 0 for p in range(2, math.isqrt(d) + 1)):
         raise ValueError(f"d must be prime, got {d}")
-    kets = [_basis_ket(d, i) for i in range(d)]
+    labels = [f"mub{b}:{m}" for b in range(d + 1) for m in range(d)]
     if d == 2:
-        for th in (0.0, math.pi, math.pi / 2, 3 * math.pi / 2):
-            kets.append(_superposition_ket(2, 0, 1, th))
-        return kets
-    omega = np.exp(2j * math.pi / d)
-    j = np.arange(d)
-    for b in range(d):
-        for m in range(d):
-            kets.append(omega ** (b * j * j + m * j) / math.sqrt(d))
-    return kets
+        return _pairwise_arm(2)[0][[0, 1, 2, 4, 3, 5]], labels
+    b, m, j = np.ogrid[:d, :d, :d]
+    extra = np.exp(2j * math.pi / d) ** (b * j * j + m * j) / math.sqrt(d)
+    return np.concatenate([np.eye(d, dtype=complex), extra.reshape(d * d, d)]), labels
 
 
-def mub_ket_labels(d: int) -> list[str]:
-    labels = [f"mub0:{i}" for i in range(d)]
-    n_extra = 2 if d == 2 else d
-    for b in range(n_extra):
-        labels.extend(f"mub{b + 1}:{m}" for m in range(d))
-    return labels
+# The measurement families: each maps an arm dimension d to that arm's kets
+# and labels. A family's joint settings are every pair of its arm kets.
+FAMILIES = {"pairwise": _pairwise_arm, "mub": _mub_arm}
+
+
+def arm_kets(family: str, d: int) -> tuple[np.ndarray, list[str]]:
+    """One arm's kets, a (k, d) complex array, and their k labels, for a family of FAMILIES."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown settings family {family!r}")
+    return FAMILIES[family](d)
 
 
 def joint_settings(
-    kets_a: list[np.ndarray],
-    kets_b: list[np.ndarray],
+    kets_a: np.ndarray | Sequence[np.ndarray],
+    kets_b: np.ndarray | Sequence[np.ndarray],
     labels_a: list[str] | None = None,
     labels_b: list[str] | None = None,
 ) -> Settings:
@@ -225,6 +195,12 @@ def joint_settings(
         np.repeat(labels_a or [""] * na, nb),
         np.tile(labels_b or [""] * nb, na),
     )
+
+
+def family_settings(family: str, dim_a: int, dim_b: int) -> Settings:
+    """Every pair of the family's arm-A and arm-B kets, arm-A major."""
+    (kets_a, labels_a), (kets_b, labels_b) = arm_kets(family, dim_a), arm_kets(family, dim_b)
+    return joint_settings(kets_a, kets_b, labels_a, labels_b)
 
 
 # --- forward model ----------------------------------------------------------
@@ -262,13 +238,23 @@ def simulate_counts(
     one independent stream per (seed, setting index) so records are
     reproducible regardless of evaluation order. poisson=False stores the
     exact means instead (noiseless validation mode); seed is then ignored.
+    A product rate_hz * integration_time_s that is not finite, or a Poisson
+    mean above POISSON_MEAN_MAX, is refused before any count is drawn.
     """
     _check_positive("rate_hz", rate_hz)
     _check_positive("integration_time_s", integration_time_s)
     _check_seed(seed)
     scale = rate_hz * integration_time_s
+    if not math.isfinite(scale):
+        raise ValueError(f"rate_hz * integration_time_s = {scale!r} is not finite")
     means = scale * born_probabilities(rho, settings)
     if poisson:
+        top = float(means.max(initial=0.0))
+        if top > POISSON_MEAN_MAX:
+            raise ValueError(
+                f"rate_hz * integration_time_s = {scale!r} gives a Poisson mean of {top!r}, "
+                f"above numpy's largest {POISSON_MEAN_MAX!r}"
+            )
         base = np.random.SeedSequence().entropy if seed is None else seed
         counts = np.zeros(len(means))
         for i in np.flatnonzero(means):  # a zero mean draws 0 without its stream
@@ -726,27 +712,15 @@ def budget(d: int, integration_time_s: float = 10.0) -> Budget:
         raise ValueError(f"d must be >= 2, got {d}")
     _check_positive("integration_time_s", integration_time_s)
     k = count_subspaces(d)
-    pconc = 36 * k
-    qst = (2 * d * d - d) ** 2
-    return Budget(
-        d=d,
-        k=k,
-        pconc_measurements=pconc,
-        qst_measurements=qst,
-        pconc_time_s=pconc * integration_time_s,
-        qst_time_s=qst * integration_time_s,
-    )
+    pconc, qst = 36 * k, (2 * d * d - d) ** 2
+    time_s = float(integration_time_s)
+    if not math.isfinite(qst * time_s):
+        raise ValueError(f"integration_time_s = {time_s!r} overflows the total time of {qst} settings")
+    return Budget(d, k, pconc, qst, pconc * time_s, qst * time_s)
 
 
 def budget_to_dict(b: Budget) -> dict:
-    return {
-        "d": b.d,
-        "k": b.k,
-        "pconc_measurements": b.pconc_measurements,
-        "qst_measurements": b.qst_measurements,
-        "pconc_time_s": float(b.pconc_time_s),
-        "qst_time_s": float(b.qst_time_s),
-    }
+    return asdict(b)
 
 
 # --- record file format -----------------------------------------------------

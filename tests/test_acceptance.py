@@ -26,10 +26,7 @@ from pconcurrence.states import (
 )
 from pconcurrence.tomography import (
     budget,
-    joint_settings,
-    pairwise_ket_labels,
-    pairwise_overcomplete_kets,
-    qubit_setting_kets,
+    family_settings,
     reconstruct_linear,
     reconstruct_mle,
     sector_records,
@@ -75,9 +72,7 @@ def random_ket(rng, d):
 
 
 def qutrit_settings():
-    kets = pairwise_overcomplete_kets(3)
-    labels = pairwise_ket_labels(3)
-    return joint_settings(kets, kets, labels, labels)
+    return family_settings("pairwise", 3, 3)
 
 
 def test_criterion_1_witness_values_on_state_family():
@@ -190,8 +185,7 @@ def test_criterion_5_pairing_search_correctness(enumerated_search):
 def test_criterion_6_noiseless_round_trips():
     with criterion(6, "noiseless tomography round trips"):
         bell = make_max_entangled(2)
-        kets6 = qubit_setting_kets()
-        bell_settings = joint_settings(kets6, kets6, pairwise_ket_labels(2), pairwise_ket_labels(2))
+        bell_settings = family_settings("pairwise", 2, 2)
         bell_truth = density_from_ket(bell)
         record = simulate_counts(bell_truth, bell_settings, 1e4, 1.0, poisson=False)
         assert len(record.settings) == 36

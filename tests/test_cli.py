@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -259,6 +260,22 @@ def test_simulate_rejects_non_finite_rate(tmp_path, max_qutrit_file, capsys):
     assert capsys.readouterr().err == "error: rate_hz must be finite and positive, got nan\n"
 
 
+@pytest.mark.parametrize(
+    "rate_hz, time_s, message",
+    [
+        ("1e10", "1e10", "rate_hz * integration_time_s = 1e+20 gives a Poisson mean of "),
+        ("1e300", "1e300", "rate_hz * integration_time_s = inf is not finite\n"),
+    ],
+)
+def test_simulate_refuses_counts_too_large_to_draw(tmp_path, max_qutrit_file, capsys, rate_hz, time_s, message):
+    out = tmp_path / "r.json"
+    argv = ["simulate", max_qutrit_file, "--rate-hz", rate_hz, "--time-s", time_s, "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_simulate_rejects_negative_seed(tmp_path, max_qutrit_file, capsys):
     argv = ["simulate", max_qutrit_file, "--seed", "-1", "--out", str(tmp_path / "r.json")]
     assert main(argv) == 1
@@ -489,10 +506,48 @@ def test_simulate_reconstruct_witness_pipeline(tmp_path, max_qutrit_file, capsys
 
 def test_simulate_deterministic(tmp_path, qutrit_file):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    args = ["simulate", qutrit_file, "--settings", "qubit36", "--seed", "9"]
     main(["simulate", qutrit_file, "--settings", "pairwise", "--seed", "9", "--out", str(p1)])
     main(["simulate", qutrit_file, "--settings", "pairwise", "--seed", "9", "--out", str(p2)])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# SHA-256 of `simulate --time-s 1 --seed 7` records of make_spdc_qudit(d, 1.5),
+# at the default 1000 Hz; qubit36 is pairwise at d = 2.
+RECORD_DIGESTS = {
+    ("pairwise", 2): "a9c1a55cccad7b339f77488fe8021f9a9e80f9284089d6fe9dc6ae34254eed00",
+    ("pairwise", 3): "f8e3c2216a6578c6db3d9c446b247507c9cf73c2f87681899da30621d6e3d0f5",
+    ("pairwise", 4): "4886f4dfeee29763eb00f1d0a411a4cf92dee180f6f984d33e3349a5be6b79c3",
+    ("pairwise", 5): "c56291eee05c6b264363284a8132052c9d5f4f4712ca52ea02b8b5579ff1f6de",
+    ("mub", 2): "d944ad1f58b18378d06cc4dde7e82f0dfddb605f2182a0d63a0742f2a4a3dbb9",
+    ("mub", 3): "a07895eb8abdfbe8b15c7762cb78cbff2161a7fcc277d94932a8ad57608d9f0d",
+    ("mub", 5): "a1c3c1462eb0a4a8e76eefa49d2b47db589214765be24edfc6a817b108c493d8",
+    ("qubit36", 2): "a9c1a55cccad7b339f77488fe8021f9a9e80f9284089d6fe9dc6ae34254eed00",
+}
+
+
+@pytest.mark.parametrize("family, d", list(RECORD_DIGESTS))
+def test_simulate_record_bytes_are_pinned(tmp_path, family, d):
+    state, record = tmp_path / "state.json", tmp_path / "record.json"
+    save_state(state, make_spdc_qudit(d, 1.5))
+    argv = ["simulate", str(state), "--settings", family, "--time-s", "1", "--seed", "7", "--out", str(record)]
+    assert main(argv) == 0
+    assert hashlib.sha256(record.read_bytes()).hexdigest() == RECORD_DIGESTS[family, d]
+
+
+@pytest.mark.parametrize(
+    "state, family, message",
+    [
+        (BipartiteKet(1, 1, [1.0]), "pairwise", "d must be >= 2, got 1"),
+        (make_spdc_qudit(4, 1.5), "mub", "d must be prime, got 4"),
+        (make_spdc_qudit(3, 1.5), "qubit36", "qubit36 settings need a 2x2 state"),
+    ],
+)
+def test_simulate_refuses_a_family_the_state_does_not_fit(tmp_path, capsys, state, family, message):
+    path, record = tmp_path / "state.json", tmp_path / "record.json"
+    save_state(path, state)
+    assert main(["simulate", str(path), "--settings", family, "--out", str(record)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not record.exists()
 
 
 def test_witness_table_from_density(tmp_path, capsys):
@@ -589,6 +644,14 @@ def test_budget_text_and_json(tmp_path, capsys):
 def test_budget_rejects_non_positive_time(capsys, time_s, shown):
     assert main(["budget", "3", "--time-s", time_s]) == 1
     assert capsys.readouterr() == ("", f"error: integration_time_s must be finite and positive, got {shown}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_budget_refuses_a_total_time_that_overflows(tmp_path, capsys, fmt):
+    out = tmp_path / "budget.json"
+    assert main(["budget", "3", "--time-s", "1e308", "--format", fmt, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: integration_time_s = 1e+308 overflows the total time of 225 settings\n")
+    assert not out.exists()
 
 
 def test_footer_rounding_two_decimals():

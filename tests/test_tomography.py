@@ -19,16 +19,13 @@ from pconcurrence.states import (
 from pconcurrence.tomography import (
     Settings,
     TomographyRecord,
+    arm_kets,
     born_probabilities,
     budget,
     budget_to_dict,
+    family_settings,
     frequencies,
     joint_settings,
-    mub_ket_labels,
-    mub_kets,
-    pairwise_ket_labels,
-    pairwise_overcomplete_kets,
-    qubit_setting_kets,
     record_from_dict,
     record_to_dict,
     reconstruct_linear,
@@ -44,14 +41,11 @@ QUTRIT = make_max_entangled(3)
 
 
 def bell_settings():
-    kets = qubit_setting_kets()
-    return joint_settings(kets, kets, pairwise_ket_labels(2), pairwise_ket_labels(2))
+    return family_settings("pairwise", 2, 2)
 
 
 def qutrit_settings():
-    kets = pairwise_overcomplete_kets(3)
-    labels = pairwise_ket_labels(3)
-    return joint_settings(kets, kets, labels, labels)
+    return family_settings("pairwise", 3, 3)
 
 
 def take(settings, index):
@@ -74,45 +68,55 @@ def random_density(d, rank, seed, d_b=None):
 def setting_sets():
     """(name, d, settings): pairwise d = 2..5, MUB d = 2, 3, 5 and the qubit36 set."""
     for d in (2, 3, 4, 5):
-        yield f"pairwise{d}", d, joint_settings(
-            pairwise_overcomplete_kets(d), pairwise_overcomplete_kets(d), pairwise_ket_labels(d), pairwise_ket_labels(d)
-        )
+        yield f"pairwise{d}", d, family_settings("pairwise", d, d)
     for d in (2, 3, 5):
-        labels = mub_ket_labels(d)
-        yield f"mub{d}", d, joint_settings(mub_kets(d), mub_kets(d), labels, labels)
+        yield f"mub{d}", d, family_settings("mub", d, d)
     yield "qubit36", 2, bell_settings()
 
 
 def test_qubit_setting_kets():
-    kets = qubit_setting_kets()
-    assert len(kets) == 6
+    kets, labels = arm_kets("pairwise", 2)
+    assert kets.shape == (6, 2)
     assert np.allclose(kets[0], [1, 0])
     assert np.allclose(kets[1], [0, 1])
     assert np.allclose(kets[2], np.array([1, 1]) / math.sqrt(2))  # theta = 0
     assert np.allclose(kets[3], np.array([1, 1j]) / math.sqrt(2))  # theta = pi/2
     assert np.allclose(kets[4], np.array([1, -1]) / math.sqrt(2))  # theta = pi
     assert np.allclose(kets[5], np.array([1, -1j]) / math.sqrt(2))  # theta = 3pi/2
+    assert labels == ["basis:0", "basis:1"] + [f"sup:0+1:theta={deg}" for deg in (0, 90, 180, 270)]
     assert len(bell_settings()) == 36
 
 
 def test_pairwise_counts():
-    assert len(pairwise_overcomplete_kets(3)) == 15
-    assert len(pairwise_overcomplete_kets(8)) == 120
-    assert len(pairwise_overcomplete_kets(8)) ** 2 == 14400
+    for d in range(2, 9):
+        kets, labels = arm_kets("pairwise", d)
+        assert kets.shape == (2 * d * d - d, d) and len(labels) == len(kets)
+    assert len(family_settings("pairwise", 8, 8)) == 14400
     assert len(qutrit_settings()) == 225
-    for got, want in zip(pairwise_overcomplete_kets(2), qubit_setting_kets()):
-        assert np.allclose(got, want)
+    labels = arm_kets("pairwise", 3)[1]
+    assert labels[:4] == ["basis:0", "basis:1", "basis:2", "sup:0+1:theta=0"]
+    assert labels[-1] == "sup:1+2:theta=270"
+    with pytest.raises(ValueError, match=r"^d must be >= 2, got 1$"):
+        arm_kets("pairwise", 1)
 
 
 def test_mub_qubit():
-    kets = mub_kets(2)
-    assert len(kets) == 6  # 3 bases of 2 kets
+    kets, labels = arm_kets("mub", 2)
+    assert kets.shape == (6, 2)  # 3 bases of 2 kets
+    # the diagonal and circular bases are the pairwise superpositions at 0, 180 and 90, 270 degrees
+    assert kets.tobytes() == arm_kets("pairwise", 2)[0][[0, 1, 2, 4, 3, 5]].tobytes()
+    assert labels == ["mub0:0", "mub0:1", "mub1:0", "mub1:1", "mub2:0", "mub2:1"]
+
+
+def test_unknown_family_is_refused():
+    with pytest.raises(ValueError, match="unknown settings family 'sic'"):
+        family_settings("sic", 3, 3)
 
 
 def test_mub_unbiasedness():
-    for d in (2, 3, 5):
-        kets = mub_kets(d)
-        assert len(kets) == (d + 1) * d
+    for d in (2, 3, 5, 7):
+        kets, labels = arm_kets("mub", d)
+        assert kets.shape == ((d + 1) * d, d) and len(labels) == len(kets)
         bases = [kets[i * d : (i + 1) * d] for i in range(d + 1)]
         for bi, bj in itertools.combinations_with_replacement(range(d + 1), 2):
             for i, u in enumerate(bases[bi]):
@@ -125,14 +129,14 @@ def test_mub_unbiasedness():
 
 
 def test_mub_rejects_non_prime():
-    for d in (4, 6, 8, 9):
-        with pytest.raises(ValueError, match="prime"):
-            mub_kets(d)
+    for d in (1, 4, 6, 8, 9):
+        with pytest.raises(ValueError, match=rf"^d must be prime, got {d}$"):
+            arm_kets("mub", d)
 
 
 def test_mub_joint_setting_count():
-    kets = mub_kets(3)
-    assert len(joint_settings(kets, kets)) == 144
+    assert len(family_settings("mub", 3, 3)) == 144
+    assert len(family_settings("mub", 3, 5)) == 12 * 30
 
 
 def test_born_probabilities_bell_cases():
@@ -146,7 +150,7 @@ def test_born_probabilities_bell_cases():
 
 def test_born_probabilities_mub_conjugate_pairs():
     rho = density_from_ket(QUTRIT)
-    kets = np.array(mub_kets(3))
+    kets = arm_kets("mub", 3)[0]
     p = born_probabilities(rho, Settings(kets, kets.conj()))
     assert len(p) == 12
     assert np.abs(p - 1 / 3).max() < 1e-12
@@ -154,7 +158,7 @@ def test_born_probabilities_mub_conjugate_pairs():
 
 def test_born_sums_to_one_over_mub_basis_pair():
     rho = density_from_ket(make_spdc_qutrit(SpdcParams(0.4, 0.9)))
-    kets = mub_kets(3)
+    kets = arm_kets("mub", 3)[0]
     for b in range(4):
         basis = kets[b * 3 : (b + 1) * 3]
         total = born_probabilities(rho, joint_settings(basis, basis)).sum()
@@ -239,6 +243,24 @@ def test_simulate_rejects_bad_rate():
         simulate_counts(density_from_ket(BELL), bell_settings(), 0.0, 10.0)
 
 
+@pytest.mark.parametrize("rate_hz, time_s", [(1e300, 1e300), (1e200, 1e200)])
+def test_simulate_refuses_a_non_finite_count_scale(rate_hz, time_s):
+    for poisson in (True, False):
+        with pytest.raises(ValueError, match=r"^rate_hz \* integration_time_s = inf is not finite$"):
+            simulate_counts(density_from_ket(BELL), bell_settings(), rate_hz, time_s, poisson=poisson)
+
+
+def test_simulate_refuses_a_poisson_mean_numpy_cannot_draw():
+    # the Bell state's largest Born probability is 1/2; numpy draws means up to ~9.22e18
+    rho, settings = density_from_ket(BELL), bell_settings()
+    assert simulate_counts(rho, settings, 1.8e19, 1.0, seed=0).counts.max() > 8e18
+    message = r"^rate_hz \* integration_time_s = 1e\+20 gives a Poisson mean of [\d.]+e\+19, above numpy's largest 9\.22"
+    with pytest.raises(ValueError, match=message):
+        simulate_counts(rho, settings, 1e10, 1e10, seed=0)
+    # exact means need no draw
+    assert simulate_counts(rho, settings, 1e10, 1e10, poisson=False).counts.max() == pytest.approx(5e19)
+
+
 def test_reconstruct_linear_noiseless_bell():
     record = noiseless_record(BELL, bell_settings())
     rho = reconstruct_linear(record)
@@ -306,11 +328,11 @@ def test_hermitian_coefficients_scatter_matches_basis_sum():
 
 def test_joint_kets_match_kron():
     # joint_settings is arm-A major, and row j of joint_kets is kron(a, b) of setting j, bit for bit
-    kets_a, kets_b = pairwise_overcomplete_kets(3), mub_kets(3)
-    settings = joint_settings(kets_a, kets_b, pairwise_ket_labels(3), mub_ket_labels(3))
+    (kets_a, labels_a), (kets_b, labels_b) = arm_kets("pairwise", 3), arm_kets("mub", 3)
+    settings = joint_settings(kets_a, kets_b, labels_a, labels_b)
     product = list(itertools.product(kets_a, kets_b))
     assert settings.joint_kets().tobytes() == np.array([np.kron(a, b) for a, b in product]).tobytes()
-    labels = list(itertools.product(pairwise_ket_labels(3), mub_ket_labels(3)))
+    labels = list(itertools.product(labels_a, labels_b))
     assert list(zip(settings.labels_a, settings.labels_b)) == labels
 
 
@@ -345,7 +367,7 @@ def joint_least_squares(design, basis, freq):
 
 def test_reconstruct_linear_matches_the_joint_solve():
     # grid records take the per-arm solve, the others the joint one; every result equals the joint fit
-    arms32 = joint_settings(pairwise_overcomplete_kets(3), pairwise_overcomplete_kets(2))
+    arms32 = family_settings("pairwise", 3, 2)
     for name, dims, settings in [*((n, (d, d), s) for n, d, s in setting_sets()), ("pairwise3x2", (3, 2), arms32)]:
         rho = random_density(dims[0], 2, len(settings), d_b=dims[1])
         design, basis = literal_design(settings)
@@ -382,9 +404,8 @@ def test_reconstruct_linear_solves_a_grid_per_arm(monkeypatch):
 
 def test_reconstruct_linear_round_trip_at_d8():
     # 14 400 settings, whose joint design would take 472 MB
-    kets = pairwise_overcomplete_kets(8)
     state = make_spdc_qudit(8, 1.5)
-    record = noiseless_record(state, joint_settings(kets, kets))
+    record = noiseless_record(state, family_settings("pairwise", 8, 8))
     assert uhlmann_fidelity(reconstruct_linear(record), density_from_ket(state)) >= 0.9999
 
 
@@ -445,8 +466,7 @@ MLE_DECAYS = {1.0: (5.5, 6.5), 10.0: (5.5, 6.5), 100.0: (3.5, 4.5), 1000.0: (0.7
 
 
 def qutrit_records():
-    kets = pairwise_overcomplete_kets(3)
-    settings = joint_settings(kets, kets)
+    settings = family_settings("pairwise", 3, 3)
     for time_s, (lo, hi) in MLE_DECAYS.items():
         for seed, decay in enumerate((lo, (lo + hi) / 2, hi)):
             rho = density_from_ket(make_spdc_qudit(3, decay))
@@ -454,8 +474,7 @@ def qutrit_records():
 
 
 def ququart_sector_records():
-    kets = pairwise_overcomplete_kets(4)
-    settings = joint_settings(kets, kets)
+    settings = family_settings("pairwise", 4, 4)
     for seed, decay in enumerate((2.5, 2.75, 3.0)):
         record = simulate_counts(density_from_ket(make_spdc_qudit(4, decay)), settings, 1000.0, 10.0, seed=seed)
         for sub in sector_records(record, sector_pairs(4)):
@@ -477,8 +496,7 @@ def test_sector_fits_have_no_slow_tail():
     # record benchmark. Most fits take under 10 iterations; a few end in
     # the slow regime where first-order gains stay near 1e-3 per step, and
     # a solver that only crawls there takes up to 100.
-    kets = pairwise_overcomplete_kets(5)
-    settings = joint_settings(kets, kets)
+    settings = family_settings("pairwise", 5, 5)
     for seed, decay in enumerate(np.linspace(8.0, 12.0, 4)):
         record = simulate_counts(density_from_ket(make_spdc_qudit(5, decay)), settings, 1000.0, 10.0, seed=seed)
         for sub in sector_records(record, identity_pairing(5).pairs):
@@ -547,7 +565,7 @@ def mixed_record():
             v = np.full(3, outside, dtype=complex)
             v[[lo, hi]] = rng.normal(size=2) + 1j * rng.normal(size=2)
             leaks.append(v / np.linalg.norm(v))
-    kets = pairwise_overcomplete_kets(3) + mub_kets(3)[3:] + leaks
+    kets = np.concatenate([arm_kets("pairwise", 3)[0], arm_kets("mub", 3)[0][3:], leaks])
     labels = [f"k{i}" for i in range(len(kets))]
     settings = joint_settings(kets, kets, labels, labels)
     settings = take(settings, rng.permutation(len(settings)))
@@ -557,9 +575,8 @@ def mixed_record():
 def test_sector_records_match_the_per_setting_filter():
     records = [mixed_record()]
     for d in (3, 4):
-        kets, labels = pairwise_overcomplete_kets(d), pairwise_ket_labels(d)
         rho = density_from_ket(make_spdc_qudit(d, 1.5))
-        settings = joint_settings(kets, kets, labels, labels)
+        settings = family_settings("pairwise", d, d)
         records += [simulate_counts(rho, settings, 1e3, 10.0, seed=d), simulate_counts(rho, settings, 1e3, 10.0, poisson=False)]
     for record in records:
         pairs = sector_pairs(record.dim_a)
