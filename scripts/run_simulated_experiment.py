@@ -14,14 +14,8 @@ import numpy as np
 
 from pconcurrence.measures import purity, uhlmann_fidelity
 from pconcurrence.states import density_from_ket, make_spdc_qudit
-from pconcurrence.tomography import (
-    budget,
-    family_settings,
-    reconstruct_mle,
-    sector_estimates,
-    simulate_counts,
-)
-from pconcurrence.witness import identity_pairing, pconcurrence_known, sector_report
+from pconcurrence.tomography import budget, family_settings, reconstruct_mle, simulate_counts
+from pconcurrence.witness import identity_pairing, pconcurrence_known
 
 
 def main():
@@ -46,8 +40,7 @@ def main():
     print(f"full reconstruction: purity {purity(rho_full):.4f}, "
           f"fidelity to truth {uhlmann_fidelity(rho_full, truth):.4f}")
 
-    pairs = identity_pairing(args.dim).pairs
-    report = sector_report(pairs, *sector_estimates(record, pairs))
+    report = pconcurrence_known(record, identity_pairing(args.dim))
     print(f"\n{'sector':<20} {'concurrence':>11} {'fidelity':>9}")
     for row in report.subspace_rows:
         print(f"{{{row.a.lo},{row.a.hi}}}_A x {{{row.b.lo},{row.b.hi}}}_B".ljust(20)

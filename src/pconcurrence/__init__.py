@@ -12,7 +12,6 @@ from .measures import (
     MeasureValue,
     eof_pure,
     evaluate_measure,
-    fidelity_to_ket,
     i_concurrence,
     normalize_measure,
     purity,
@@ -49,15 +48,12 @@ from .tomography import (
 )
 from .witness import (
     IndexPair,
-    SubspacePairing,
-    SubspaceSupportError,
     WitnessReport,
     count_subspaces,
     enumerate_pairs,
     identity_pairing,
     pconcurrence_known,
     pconcurrence_search,
-    project_subspace,
 )
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .measures import (
@@ -27,7 +28,6 @@ from .states import (
     DensityMatrix,
     SpdcParams,
     as_density,
-    density_from_ket,
     load_state,
     make_spdc_qutrit,
     save_state,
@@ -37,14 +37,12 @@ from .tomography import (
     FAMILIES,
     TomographyRecord,
     budget,
-    budget_to_dict,
     family_settings,
     load_record,
     reconstruct_linear,
     reconstruct_mle,
     record_from_dict,
     save_record,
-    sector_estimates,
     simulate_counts,
 )
 from .witness import (
@@ -53,8 +51,6 @@ from .witness import (
     pconcurrence_known,
     pconcurrence_search,
     report_to_dict,
-    sector_pairs,
-    sector_report,
     side_dim,
 )
 
@@ -79,7 +75,7 @@ def _load_input(path: str) -> BipartiteKet | DensityMatrix | TomographyRecord:
 
 def _sweep_row(alpha: float, beta: float) -> tuple[float, float, float]:
     ket = make_spdc_qutrit(SpdcParams(alpha, beta))
-    report = pconcurrence_known(density_from_ket(ket), identity_pairing(3))
+    report = pconcurrence_known(ket, identity_pairing(3))
     eof_n = normalize_measure(eof_pure(ket), "eof", 3)
     iconc_n = normalize_measure(i_concurrence(ket), "i_concurrence", 3)
     return report.pconcurrence, eof_n, iconc_n
@@ -165,24 +161,13 @@ def _print_report(report: WitnessReport) -> None:
     print(f"{'pconcurrence (' + report.search_mode + ')':<26} {report.pconcurrence:>11.2f}")
 
 
-def _witness_from_record(record: TomographyRecord, search: bool) -> WitnessReport:
-    """Per-subspace extraction + MLE reconstruction, then score and pair."""
-    d = side_dim(record.dim_a, record.dim_b)
-    pairs = sector_pairs(d) if search else identity_pairing(d).pairs
-    return sector_report(pairs, *sector_estimates(record, pairs), search=search)
-
-
 def cmd_witness(args: argparse.Namespace) -> int:
     source = _load_input(args.input_file)
-    search = args.pairing == "search"
-    if isinstance(source, TomographyRecord):
-        report = _witness_from_record(source, search)
+    d = side_dim(source.dim_a, source.dim_b)
+    if args.pairing == "search":
+        report = pconcurrence_search(source)
     else:
-        rho = as_density(source)
-        if search:
-            report = pconcurrence_search(rho)
-        else:
-            report = pconcurrence_known(rho, identity_pairing(rho.dim_a))
+        report = pconcurrence_known(source, identity_pairing(d))
     _print_report(report)
     if args.out:
         _write_text(args.out, json.dumps(report_to_dict(report), indent=2) + "\n")
@@ -191,7 +176,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 def cmd_budget(args: argparse.Namespace) -> int:
     b = budget(args.d, args.time_s)
-    payload = budget_to_dict(b)
+    payload = asdict(b)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:

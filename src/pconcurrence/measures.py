@@ -163,15 +163,6 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
-def fidelity_to_ket(rho: DensityMatrix, target: BipartiteKet) -> float:
-    """Projective fidelity <t| rho |t>."""
-    if (rho.dim_a, rho.dim_b) != (target.dim_a, target.dim_b):
-        raise ValueError(
-            f"dimension mismatch: state ({rho.dim_a}, {rho.dim_b}) vs target ({target.dim_a}, {target.dim_b})"
-        )
-    return ket_fidelity(rho.matrix, target.amplitudes)
-
-
 def ket_fidelity(m: np.ndarray, v: np.ndarray) -> float:
     """<v| m |v> for a density matrix m and a unit vector v, clipped into [0, 1]."""
     return float(min(1.0, max(0.0, complex(np.vdot(v, m @ v)).real)))
@@ -214,6 +205,5 @@ def evaluate_measure(
     else:
         from .witness import identity_pairing, pconcurrence_known
 
-        rho = as_density(state)
-        raw = pconcurrence_known(rho, identity_pairing(rho.dim_a)).pconcurrence
+        raw = pconcurrence_known(state, identity_pairing(state.dim_a)).pconcurrence
     return MeasureValue(raw=raw, normalized=normalize_measure(raw, measure_name, d), measure_name=measure_name)

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,22 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _count_scale(rate_hz: float, integration_time_s: float) -> float:
+    """rate_hz * integration_time_s, which turns Born probabilities into mean counts.
+
+    The product, as each factor, must be finite and positive: frequencies
+    divide by it, so an overflow zeroes them all and an underflow makes them infinite.
+    """
+    _check_positive("rate_hz", rate_hz)
+    _check_positive("integration_time_s", integration_time_s)
+    scale = rate_hz * integration_time_s
+    if not math.isfinite(scale):
+        raise ValueError(f"rate_hz * integration_time_s = {scale!r} is not finite")
+    if scale <= 0:
+        raise ValueError(f"rate_hz * integration_time_s = {scale!r} underflows to zero")
+    return scale
+
+
 def _check_seed(seed: int | None) -> None:
     if seed is not None and (type(seed) is not int or seed < 0):
         raise ValueError(f"seed must be an integer >= 0 or null, got {seed!r:.60}")
@@ -94,8 +111,7 @@ class TomographyRecord:
     seed: int | None = None
 
     def __post_init__(self):
-        _check_positive("rate_hz", self.rate_hz)
-        _check_positive("integration_time_s", self.integration_time_s)
+        scale = _count_scale(self.rate_hz, self.integration_time_s)
         _check_seed(self.seed)
         c = np.asarray(self.counts, dtype=float)
         object.__setattr__(self, "counts", c)
@@ -107,6 +123,8 @@ class TomographyRecord:
             raise ValueError(f"{len(c)} counts for {len(self.settings)} settings")
         if not (np.isfinite(c) & (c >= 0)).all():
             raise ValueError("counts must be finite and nonnegative")
+        if c.max() > scale * sys.float_info.max:  # its frequency, count / scale, overflows
+            raise ValueError(f"rate_hz * integration_time_s = {scale!r} is too small for the count {c.max():g}")
 
     @property
     def dim_a(self) -> int:
@@ -238,15 +256,11 @@ def simulate_counts(
     one independent stream per (seed, setting index) so records are
     reproducible regardless of evaluation order. poisson=False stores the
     exact means instead (noiseless validation mode); seed is then ignored.
-    A product rate_hz * integration_time_s that is not finite, or a Poisson
-    mean above POISSON_MEAN_MAX, is refused before any count is drawn.
+    A rate_hz * integration_time_s that is not finite and positive, or a
+    Poisson mean above POISSON_MEAN_MAX, is refused before any count is drawn.
     """
-    _check_positive("rate_hz", rate_hz)
-    _check_positive("integration_time_s", integration_time_s)
+    scale = _count_scale(rate_hz, integration_time_s)
     _check_seed(seed)
-    scale = rate_hz * integration_time_s
-    if not math.isfinite(scale):
-        raise ValueError(f"rate_hz * integration_time_s = {scale!r} is not finite")
     means = scale * born_probabilities(rho, settings)
     if poisson:
         top = float(means.max(initial=0.0))
@@ -381,6 +395,9 @@ def reconstruct_linear(record: TomographyRecord) -> DensityMatrix:
     return validate_density(rho / tr, (record.dim_a, record.dim_b))
 
 
+# The fit stops at the first step gaining less than TOL in ll, or warns after MAX_ITER.
+TOL = 1e-10
+MAX_ITER = 10000
 # A first-order step that gains less than this (in count-weighted
 # log-likelihood) switches on the Newton polish for the rest of the fit.
 POLISH_GAIN = 1e-2
@@ -538,10 +555,7 @@ def _newton_step(like: _Likelihood, rho: np.ndarray, p: np.ndarray) -> Step | No
 
 
 def reconstruct_mle(
-    record: TomographyRecord,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    return_history: bool = False,
+    record: TomographyRecord, return_history: bool = False
 ) -> DensityMatrix | tuple[DensityMatrix, list[float]]:
     """Maximum-likelihood reconstruction by an accelerated, monotone ascent.
 
@@ -549,7 +563,7 @@ def reconstruct_mle(
     the maximally mixed start. Each iteration takes the best of:
 
     - an accelerated projected gradient step (Nesterov momentum, restarted
-      whenever the momentum step gains less than tol), projected onto the
+      whenever the momentum step gains less than TOL), projected onto the
       density matrices by the Smolin-Gambetta-Smith eigenvalue simplex
       projection, so eigenvalues can reach zero and regrow (Shang, Zhang &
       Ng, PRA 95, 062336 (2017)); a trial that fails the ascent bound
@@ -563,8 +577,8 @@ def reconstruct_mle(
       converges where first-order steps crawl.
 
     A step that loses likelihood is never taken, so accepted iterates are
-    monotone. Stops when an accepted step gains less than tol, or warns
-    and returns the last iterate after max_iter. Fits to pure states
+    monotone. Stops when an accepted step gains less than TOL, or warns
+    and returns the last iterate after MAX_ITER. Fits to pure states
     converge in tens of iterations; slightly mixed near-pure ones, whose
     small eigenvalues are ill-conditioned for every step above, take
     hundreds.
@@ -583,7 +597,7 @@ def reconstruct_mle(
     prev_rho, prev_p = rho, p
     momentum, step, polish = 1.0, 1.0, False
     converged, gain = False, 0.0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         next_momentum = (1 + math.sqrt(1 + 4 * momentum * momentum)) / 2
         beta = (momentum - 1) / next_momentum
         best = None
@@ -591,7 +605,7 @@ def reconstruct_mle(
             s, ps = rho + beta * (rho - prev_rho), p + beta * (p - prev_p)
             if ps.min() > 0:
                 best, step = _gradient_step(like, s, ps, rho, p, step)
-            if best is None or best[2] < tol:
+            if best is None or best[2] < TOL:
                 best, next_momentum = None, 1.0
         if best is None:
             best, step = _gradient_step(like, rho, p, rho, p, step)
@@ -603,7 +617,7 @@ def reconstruct_mle(
             if newton is not None and newton[2] > best[2]:
                 best = newton
         cand, pc, gain = best
-        if not gain >= tol:
+        if not gain >= TOL:
             # Converged. A Newton step that loses nothing lands closest to
             # the maximum; the others are not taken.
             cand, pc, gain = newton if newton is not None and newton[2] >= 0 else (rho, p, 0.0)
@@ -611,12 +625,12 @@ def reconstruct_mle(
         momentum = next_momentum
         step = min(2 * step, STEP_MAX)
         history.append(history[-1] + gain)
-        if gain < tol:
+        if gain < TOL:
             converged = True
             break
     if not converged:
         warnings.warn(
-            f"MLE did not converge in {max_iter} iterations (last gain {gain:.3e}); "
+            f"MLE did not converge in {MAX_ITER} iterations (last gain {gain:.3e}); "
             "returning the best iterate",
             RuntimeWarning,
             stacklevel=2,
@@ -717,10 +731,6 @@ def budget(d: int, integration_time_s: float = 10.0) -> Budget:
     if not math.isfinite(qst * time_s):
         raise ValueError(f"integration_time_s = {time_s!r} overflows the total time of {qst} settings")
     return Budget(d, k, pconc, qst, pconc * time_s, qst * time_s)
-
-
-def budget_to_dict(b: Budget) -> dict:
-    return asdict(b)
 
 
 # --- record file format -----------------------------------------------------

@@ -8,9 +8,10 @@ witness. When the correlation-preserving pairing is unknown, the maximum
 over all K! pairings is taken exactly, as a linear-assignment problem on
 log-concurrences.
 
-Sectors are scored as stacks: sector_states gathers them from a density
-matrix with one fancy index, and sector_report scores any stack (record
-estimates too) with one batched Wootters kernel and builds the rows.
+pconcurrence_known and pconcurrence_search take a state or a tomography
+record. Its sectors come as a stack, from sector_states (one fancy index
+into the density) or tomography.sector_estimates (one MLE fit each), and
+sector_report scores the stack with one batched Wootters kernel.
 """
 
 from __future__ import annotations
@@ -19,12 +20,18 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .measures import ket_fidelity, wootters_concurrences
-from .states import DensityMatrix, make_max_entangled
+from .states import BipartiteKet, DensityMatrix, as_density, make_max_entangled
+
+if TYPE_CHECKING:
+    from .tomography import TomographyRecord
+
+    Source = BipartiteKet | DensityMatrix | TomographyRecord
 
 WEIGHT_FLOOR = 1e-12
 
@@ -34,7 +41,8 @@ _FORBIDDEN_LOG = -1e18
 
 
 class SubspaceSupportError(ValueError):
-    """The state has (numerically) no support on the requested subspace."""
+    """Nothing raises it (a sector without support scores 0); it stays while
+    perfbench/spans.py reads it by name to build its tracer."""
 
 
 @dataclass(frozen=True, order=True)
@@ -49,14 +57,8 @@ class IndexPair:
             raise ValueError(f"need 0 <= lo < hi, got ({self.lo}, {self.hi})")
 
 
-@dataclass(frozen=True)
-class SubspacePairing:
-    """Bijection between the K side-A index pairs and the K side-B pairs."""
-
-    pairs: tuple[tuple[IndexPair, IndexPair], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+# A bijection between the K side-A index pairs and the K side-B pairs.
+Pairing = tuple[tuple[IndexPair, IndexPair], ...]
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,6 @@ class WitnessReport:
 
     subspace_rows: tuple[SubspaceRow, ...]
     pconcurrence: float
-    pairing_used: SubspacePairing
     search_mode: str  # known | assignment
 
     def __post_init__(self):
@@ -83,6 +84,10 @@ class WitnessReport:
             raise ValueError(
                 f"pconcurrence {self.pconcurrence!r} does not match row product {prod!r}"
             )
+
+    @property
+    def pairing_used(self) -> Pairing:
+        return tuple((row.a, row.b) for row in self.subspace_rows)
 
 
 def count_subspaces(d: int) -> int:
@@ -99,14 +104,14 @@ def enumerate_pairs(d: int) -> list[IndexPair]:
     return [IndexPair(lo, hi) for lo, hi in itertools.combinations(range(d), 2)]
 
 
-def identity_pairing(d: int) -> SubspacePairing:
+def identity_pairing(d: int) -> Pairing:
     """Match the k-th A-pair with the k-th B-pair (lexicographic order both sides).
 
     This is the correlation-preserving pairing under the anticorrelated
     basis convention used by the state constructors.
     """
     pairs = enumerate_pairs(d)
-    return SubspacePairing(tuple(zip(pairs, pairs)))
+    return tuple(zip(pairs, pairs))
 
 
 def sector_pairs(d: int) -> list[tuple[IndexPair, IndexPair]]:
@@ -135,22 +140,6 @@ def sector_states(
     return raw / np.where(weights < WEIGHT_FLOOR, 1.0, weights)[:, None, None], weights
 
 
-def project_subspace(
-    rho: DensityMatrix, a: IndexPair, b: IndexPair
-) -> tuple[DensityMatrix, float]:
-    """One sector of sector_states, as (state, weight).
-
-    Raises SubspaceSupportError when the weight underflows WEIGHT_FLOOR;
-    sector_report scores such sectors as concurrence 0.
-    """
-    states, weights = sector_states(rho, [(a, b)])
-    if weights[0] < WEIGHT_FLOOR:
-        raise SubspaceSupportError(
-            f"no support on subspace ({a.lo},{a.hi})x({b.lo},{b.hi}): weight = {weights[0]:.3e}"
-        )
-    return DensityMatrix(2, 2, states[0]), float(weights[0])
-
-
 _BELL2 = make_max_entangled(2)
 
 
@@ -163,7 +152,7 @@ def sector_report(
     """The one row builder: score a stack of sector states, pick and build rows.
 
     states[i] (unit trace) and weights[i] belong to sector pairs[i], from
-    sector_states or from per-sector record estimates. A sector with weight
+    sector_states or from tomography.sector_estimates. A sector with weight
     below WEIGHT_FLOOR holds no entanglement: it scores concurrence 0,
     fidelity 0 and weight 0. Without search, pairs is the pairing and
     every sector is a row; with it, pairs is the sector_pairs(d) table and
@@ -190,7 +179,6 @@ def sector_report(
     return WitnessReport(
         subspace_rows=rows,
         pconcurrence=math.prod(r.concurrence for r in rows),
-        pairing_used=SubspacePairing(tuple((r.a, r.b) for r in rows)),
         search_mode="assignment" if search else "known",
     )
 
@@ -202,25 +190,31 @@ def side_dim(dim_a: int, dim_b: int) -> int:
     return dim_a
 
 
-def _check_pairing(pairing: SubspacePairing, d: int) -> None:
-    expected = set(enumerate_pairs(d))
-    a_side = [a for a, _ in pairing.pairs]
-    b_side = [b for _, b in pairing.pairs]
-    if set(a_side) != expected or len(a_side) != len(expected):
-        raise ValueError("pairing does not cover each side-A index pair exactly once")
-    if set(b_side) != expected or len(b_side) != len(expected):
-        raise ValueError("pairing does not cover each side-B index pair exactly once")
+def _check_pairing(pairing: Pairing, d: int) -> None:
+    for side, name in enumerate("AB"):
+        if sorted(pair[side] for pair in pairing) != enumerate_pairs(d):
+            raise ValueError(f"pairing does not cover each side-{name} index pair exactly once")
 
 
-def pconcurrence_known(rho: DensityMatrix, pairing: SubspacePairing) -> WitnessReport:
+def _sectors(source: Source, pairs: Sequence[tuple[IndexPair, IndexPair]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sector states and weights: blocks of a state's density, or MLE estimates from a record."""
+    if isinstance(source, (BipartiteKet, DensityMatrix)):
+        return sector_states(as_density(source), pairs)
+    from .tomography import sector_estimates
+
+    return sector_estimates(source, pairs)
+
+
+def pconcurrence_known(source: Source, pairing: Pairing) -> WitnessReport:
     """Product of subspace concurrences under a given pairing.
 
-    Each row also reports the fidelity of the projected sector to the
-    two-qubit maximally entangled state (in subspace coordinates) and the
-    sector weight; weights do not enter the product.
+    source is a d x d state (ket or density) or a tomography record. Each
+    row also reports the fidelity of the sector state to the two-qubit
+    maximally entangled state (in subspace coordinates) and the sector
+    weight; weights do not enter the product.
     """
-    _check_pairing(pairing, side_dim(rho.dim_a, rho.dim_b))
-    return sector_report(pairing.pairs, *sector_states(rho, pairing.pairs))
+    _check_pairing(pairing, side_dim(source.dim_a, source.dim_b))
+    return sector_report(pairing, *_sectors(source, pairing))
 
 
 def maximize_over_pairings(conc: np.ndarray) -> tuple[int, ...]:
@@ -244,10 +238,10 @@ def maximize_over_pairings(conc: np.ndarray) -> tuple[int, ...]:
     return tuple(int(j) for j in cols)
 
 
-def pconcurrence_search(rho: DensityMatrix) -> WitnessReport:
-    """Maximize the concurrence product over all K! subspace pairings."""
-    pairs = sector_pairs(side_dim(rho.dim_a, rho.dim_b))
-    return sector_report(pairs, *sector_states(rho, pairs), search=True)
+def pconcurrence_search(source: Source) -> WitnessReport:
+    """Maximize the concurrence product over all K! subspace pairings of a state or record."""
+    pairs = sector_pairs(side_dim(source.dim_a, source.dim_b))
+    return sector_report(pairs, *_sectors(source, pairs), search=True)
 
 
 def report_to_dict(report: WitnessReport) -> dict:
@@ -255,7 +249,7 @@ def report_to_dict(report: WitnessReport) -> dict:
     return {
         "pconcurrence": float(report.pconcurrence),
         "search_mode": report.search_mode,
-        "pairing": [[a.lo, a.hi, b.lo, b.hi] for a, b in report.pairing_used.pairs],
+        "pairing": [[a.lo, a.hi, b.lo, b.hi] for a, b in report.pairing_used],
         "subspaces": [
             {
                 "a": [r.a.lo, r.a.hi],

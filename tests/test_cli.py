@@ -17,7 +17,7 @@ from pconcurrence.states import (
     make_spdc_qutrit,
     save_state,
 )
-from pconcurrence.witness import pconcurrence_search
+from pconcurrence.witness import pconcurrence_search, report_to_dict
 from pconcurrence.tomography import load_record
 
 
@@ -229,6 +229,51 @@ def test_unequal_sides_are_an_error(tmp_path, monkeypatch, capsys, argv):
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr() == ("", "error: need equal side dimensions, got (2, 3)\n")
+
+
+@pytest.mark.parametrize("pairing", ["known", "search"])
+def test_one_by_two_ket_is_refused_by_its_shape(tmp_path, capsys, pairing):
+    # Both pairings check the side dimensions before anything else, so the
+    # known pairing no longer reports "d must be >= 2, got 1" here.
+    path = tmp_path / "ket.json"
+    save_state(path, BipartiteKet(1, 2, np.array([1.0, 0.0])))
+    assert main(["witness", str(path), "--pairing", pairing]) == 1
+    assert capsys.readouterr() == ("", "error: need equal side dimensions, got (1, 2)\n")
+
+
+@pytest.mark.parametrize(
+    "factor, message",
+    [
+        (1e300, "rate_hz * integration_time_s = inf is not finite"),
+        (1e-300, "rate_hz * integration_time_s = 0.0 underflows to zero"),
+        (1e-160, "rate_hz * integration_time_s = 1e-320 is too small for the count {top:g}"),
+    ],
+    ids=["overflow", "underflow", "count-overflow"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--pairing", "known"],
+        ["witness", "--pairing", "search"],
+        ["reconstruct", "--method", "linear", "--out", "rho.json"],
+        ["reconstruct", "--method", "mle", "--out", "rho.json"],
+    ],
+    ids=["witness-known", "witness-search", "reconstruct-linear", "reconstruct-mle"],
+)
+def test_record_header_whose_frequencies_are_not_finite_is_an_error(
+    tmp_path, monkeypatch, max_qutrit_file, capsys, factor, message, argv
+):
+    # Each factor is finite and positive; their product overflows, underflows
+    # to 0, or is so small that a count divided by it overflows.
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", max_qutrit_file, "--time-s", "1", "--out", "record.json"]) == 0
+    obj = json.loads(Path("record.json").read_text())
+    obj["rate_hz"] = obj["integration_time_s"] = factor
+    Path("record.json").write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main([argv[0], "record.json", *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(top=max(obj['counts']))}\n")
+    assert not Path("rho.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -614,6 +659,15 @@ def test_witness_record_search_with_zero_count_sectors(tmp_path):
     assert search["pconcurrence"] >= known["pconcurrence"]
     exact = pconcurrence_search(density_from_ket(ket)).pconcurrence
     assert abs(search["pconcurrence"] - exact) < 0.03
+
+
+def test_library_search_on_a_record_equals_the_cli_report(tmp_path):
+    ket_path, record_path, report_path = tmp_path / "ket.json", tmp_path / "record.json", tmp_path / "report.json"
+    save_state(ket_path, make_spdc_qudit(4, 1.5))
+    assert main(["simulate", str(ket_path), "--time-s", "1", "--seed", "3", "--out", str(record_path)]) == 0
+    assert main(["witness", str(record_path), "--pairing", "search", "--out", str(report_path)]) == 0
+    report = pconcurrence_search(load_record(record_path))
+    assert json.dumps(report_to_dict(report), indent=2) + "\n" == report_path.read_text()
 
 
 def test_witness_parses_its_input_once(tmp_path, monkeypatch, capsys):

@@ -1,14 +1,16 @@
 import itertools
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from pconcurrence.measures import uhlmann_fidelity, wootters_concurrence
+from pconcurrence import tomography
 from pconcurrence.states import (
     BipartiteKet,
+    DensityMatrix,
     SpdcParams,
     density_from_ket,
     make_max_entangled,
@@ -22,7 +24,6 @@ from pconcurrence.tomography import (
     arm_kets,
     born_probabilities,
     budget,
-    budget_to_dict,
     family_settings,
     frequencies,
     joint_settings,
@@ -34,7 +35,7 @@ from pconcurrence.tomography import (
     sector_records,
     simulate_counts,
 )
-from pconcurrence.witness import IndexPair, identity_pairing, project_subspace, sector_pairs
+from pconcurrence.witness import IndexPair, identity_pairing, sector_pairs, sector_states
 
 BELL = make_max_entangled(2)
 QUTRIT = make_max_entangled(3)
@@ -250,6 +251,28 @@ def test_simulate_refuses_a_non_finite_count_scale(rate_hz, time_s):
             simulate_counts(density_from_ket(BELL), bell_settings(), rate_hz, time_s, poisson=poisson)
 
 
+def test_simulate_refuses_a_count_scale_that_underflows():
+    for poisson in (True, False):
+        with pytest.raises(ValueError, match=r"^rate_hz \* integration_time_s = 0\.0 underflows to zero$"):
+            simulate_counts(density_from_ket(BELL), bell_settings(), 1e-300, 1e-300, poisson=poisson)
+
+
+@pytest.mark.parametrize(
+    "rate_hz, message",
+    [
+        (1e300, r"^rate_hz \* integration_time_s = inf is not finite$"),
+        (1e-300, r"^rate_hz \* integration_time_s = 0\.0 underflows to zero$"),
+        (1e-160, r"^rate_hz \* integration_time_s = 1e-320 is too small for the count 7$"),
+    ],
+)
+def test_record_refuses_a_count_scale_whose_frequencies_are_not_finite(rate_hz, message):
+    settings = bell_settings()
+    with pytest.raises(ValueError, match=message):
+        TomographyRecord(rate_hz, rate_hz, settings, np.full(len(settings), 7.0))
+    # no count, no frequency to overflow
+    assert frequencies(TomographyRecord(1e-160, 1e-160, settings, np.zeros(len(settings)))).max() == 0.0
+
+
 def test_simulate_refuses_a_poisson_mean_numpy_cannot_draw():
     # the Bell state's largest Born probability is 1/2; numpy draws means up to ~9.22e18
     rho, settings = density_from_ket(BELL), bell_settings()
@@ -437,10 +460,12 @@ def test_reconstruct_mle_valid_under_noise():
     assert np.linalg.eigvalsh(rho.matrix)[0] > -1e-9
 
 
-def test_reconstruct_mle_nonconvergence_warns():
+def test_reconstruct_mle_nonconvergence_warns(monkeypatch):
     record = noiseless_record(BELL, bell_settings())
-    with pytest.warns(RuntimeWarning, match="did not converge"):
-        reconstruct_mle(record, tol=0.0, max_iter=5)
+    monkeypatch.setattr(tomography, "MAX_ITER", 5)
+    monkeypatch.setattr(tomography, "TOL", 0.0)
+    with pytest.warns(RuntimeWarning, match="did not converge in 5 iterations"):
+        reconstruct_mle(record)
 
 
 def likelihood_certificate(record, rho):
@@ -499,7 +524,7 @@ def test_sector_fits_have_no_slow_tail():
     settings = family_settings("pairwise", 5, 5)
     for seed, decay in enumerate(np.linspace(8.0, 12.0, 4)):
         record = simulate_counts(density_from_ket(make_spdc_qudit(5, decay)), settings, 1000.0, 10.0, seed=seed)
-        for sub in sector_records(record, identity_pairing(5).pairs):
+        for sub in sector_records(record, identity_pairing(5)):
             rho, history = reconstruct_mle(sub, return_history=True)
             assert len(history) - 1 <= 30
             assert all(history[i + 1] >= history[i] - 1e-9 for i in range(len(history) - 1))
@@ -533,7 +558,7 @@ def test_extract_commutes_with_projection():
     for pair in (IndexPair(0, 1), IndexPair(1, 2)):
         sub_record = sector_records(record, [(pair, pair)])[0]
         rho2 = reconstruct_mle(sub_record)
-        expected, _ = project_subspace(rho_full, pair, pair)
+        expected = DensityMatrix(2, 2, sector_states(rho_full, [(pair, pair)])[0][0])
         assert uhlmann_fidelity(rho2, expected) >= 0.999
 
 
@@ -626,7 +651,7 @@ def test_budget_order_of_magnitude_reduction():
 
 
 def test_budget_json_fields():
-    obj = budget_to_dict(budget(8, 10.0))
+    obj = asdict(budget(8, 10.0))
     assert obj == {
         "d": 8,
         "k": 28,

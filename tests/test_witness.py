@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pconcurrence.measures import fidelity_to_ket, wootters_concurrence, wootters_concurrences
+from pconcurrence.measures import ket_fidelity, wootters_concurrences
 from pconcurrence.states import (
     BipartiteKet,
     SpdcParams,
@@ -16,17 +16,16 @@ from pconcurrence.states import (
     make_spdc_qutrit,
     validate_density,
 )
+from pconcurrence.tomography import family_settings, sector_estimates, simulate_counts
 from pconcurrence.witness import (
+    WEIGHT_FLOOR,
     IndexPair,
-    SubspacePairing,
-    SubspaceSupportError,
     WitnessReport,
     count_subspaces,
     enumerate_pairs,
     identity_pairing,
     pconcurrence_known,
     pconcurrence_search,
-    project_subspace,
     report_to_dict,
     sector_pairs,
     sector_report,
@@ -82,13 +81,23 @@ def test_index_pair_ordering_enforced():
         IndexPair(-1, 0)
 
 
+def one_sector(rho, a, b):
+    """sector_states of the single sector (a, b): its 4 x 4 state and its weight."""
+    states, weights = sector_states(rho, [(a, b)])
+    return states[0], float(weights[0])
+
+
+def concurrence(m):
+    return float(wootters_concurrences(m[None])[0])
+
+
 def test_project_subspace_two_term_sector():
     # (a, b) = (0,1)x(0,1) keeps |0,0> + alpha|1,-1>: a pure two-term state
     # whose concurrence is 2 alpha / (1 + alpha^2).
     rho = qutrit_density(0.5, 0.7)
-    sub, weight = project_subspace(rho, IndexPair(0, 1), IndexPair(0, 1))
-    assert abs(wootters_concurrence(sub) - 0.8) < 1e-12
-    assert abs(np.trace(sub.matrix @ sub.matrix).real - 1.0) < 1e-10  # stays pure
+    sub, weight = one_sector(rho, IndexPair(0, 1), IndexPair(0, 1))
+    assert abs(concurrence(sub) - 0.8) < 1e-12
+    assert abs(np.trace(sub @ sub).real - 1.0) < 1e-10  # stays pure
     n2 = 1 / (1 + 0.5**2 + 0.7**2)
     assert abs(weight - n2 * (1 + 0.5**2)) < 1e-12
 
@@ -96,32 +105,32 @@ def test_project_subspace_two_term_sector():
 def test_project_subspace_max_entangled():
     rho = density_from_ket(make_max_entangled(3))
     for pair in enumerate_pairs(3):
-        sub, weight = project_subspace(rho, pair, pair)
+        sub, weight = one_sector(rho, pair, pair)
         assert abs(weight - 2 / 3) < 1e-12
-        assert abs(wootters_concurrence(sub) - 1.0) < 1e-10
+        assert abs(concurrence(sub) - 1.0) < 1e-10
 
 
 def test_project_subspace_product_state():
     amp = np.zeros(9, dtype=complex)
     amp[4] = 1.0  # |0,0> at matched index 1 on both sides
     rho = density_from_ket(BipartiteKet(3, 3, amp))
-    sub, weight = project_subspace(rho, IndexPair(0, 1), IndexPair(0, 1))
+    sub, weight = one_sector(rho, IndexPair(0, 1), IndexPair(0, 1))
     assert abs(weight - 1.0) < 1e-12
-    assert wootters_concurrence(sub) < 1e-12
+    assert concurrence(sub) < 1e-12
 
 
 def test_project_subspace_no_support():
     amp = np.zeros(9, dtype=complex)
     amp[4] = 1.0
     rho = density_from_ket(BipartiteKet(3, 3, amp))
-    with pytest.raises(SubspaceSupportError):
-        project_subspace(rho, IndexPair(0, 2), IndexPair(0, 2))
+    _, weight = one_sector(rho, IndexPair(0, 2), IndexPair(0, 2))
+    assert weight < WEIGHT_FLOOR
 
 
 def test_project_subspace_out_of_range():
     rho = qutrit_density(0.5, 0.5)
     with pytest.raises(ValueError):
-        project_subspace(rho, IndexPair(0, 3), IndexPair(0, 1))
+        one_sector(rho, IndexPair(0, 3), IndexPair(0, 1))
 
 
 def test_known_max_entangled_is_one():
@@ -162,12 +171,12 @@ def test_table_product_consistency():
 def test_report_invariant_enforced():
     rows = pconcurrence_known(qutrit_density(0.5, 0.5), identity_pairing(3)).subspace_rows
     with pytest.raises(ValueError, match="product"):
-        WitnessReport(rows, 0.5, identity_pairing(3), "known")
+        WitnessReport(rows, 0.5, "known")
 
 
 def test_known_rejects_bad_pairing():
     pairs = enumerate_pairs(3)
-    broken = SubspacePairing(tuple((a, pairs[0]) for a in pairs))  # b side repeats
+    broken = tuple((a, pairs[0]) for a in pairs)  # b side repeats
     with pytest.raises(ValueError, match="exactly once"):
         pconcurrence_known(qutrit_density(0.5, 0.5), broken)
 
@@ -233,7 +242,7 @@ def test_assignment_equals_brute_force(enumerated_search):
                 assert abs(found.pconcurrence - product) < 1e-9
                 # the zero rule makes the pairings agree when the maximum is 0 too
                 expected = tuple((pairs[i], pairs[j]) for i, j in enumerate(perm))
-                assert found.pairing_used.pairs == expected
+                assert found.pairing_used == expected
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -270,7 +279,7 @@ def test_search_dominates_any_fixed_pairing():
         rho = density_from_ket(random_ket(rng, 3))
         best = pconcurrence_search(rho).pconcurrence
         for perm in itertools.permutations(range(3)):
-            pairing = SubspacePairing(tuple((pairs[i], pairs[j]) for i, j in enumerate(perm)))
+            pairing = tuple((pairs[i], pairs[j]) for i, j in enumerate(perm))
             assert best >= pconcurrence_known(rho, pairing).pconcurrence - 1e-9
 
 
@@ -353,7 +362,7 @@ def random_density(rng, d, rank, sparse):
 
 def test_search_table_equals_single_sector_results_exactly():
     rng = np.random.default_rng(61)
-    bell = make_max_entangled(2)
+    bell = make_max_entangled(2).amplitudes
     zero_support = 0
     for d in range(2, 9):
         for rank in (1, 2, 3, d * d):
@@ -366,11 +375,10 @@ def test_search_table_equals_single_sector_results_exactly():
                 if ref is None:
                     zero_support += 1
                     assert (row.concurrence, row.fidelity, row.weight) == (0.0, 0.0, 0.0)
-                    with pytest.raises(SubspaceSupportError):
-                        project_subspace(rho, a, b)
+                    assert one_sector(rho, a, b)[1] < WEIGHT_FLOOR
                     continue
-                sub, weight = project_subspace(rho, a, b)
-                single = (wootters_concurrence(sub), fidelity_to_ket(sub, bell), weight)
+                sub, weight = one_sector(rho, a, b)
+                single = (concurrence(sub), ket_fidelity(sub, bell), weight)
                 assert (row.concurrence, row.fidelity, row.weight) == single == ref
             for row in pconcurrence_search(rho).subspace_rows:
                 assert row == table[(row.a, row.b)]
@@ -412,3 +420,28 @@ def test_kernel_renormalizes_a_block_with_a_dropped_negative_eigenvalue():
     for rho in (bell, 0.8 * bell + 0.2 * np.diag([1.0, 0.0, 0.0, 0.0])):
         block = 6.0 * rho - 5.0 * np.diag([0.0, 1.0, 0.0, 0.0])
         assert wootters_concurrences(block[None]) == pytest.approx(wootters_concurrences(rho[None]), abs=1e-12)
+
+
+# --- records take the same two entry points ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def noisy_qutrit_record():
+    """0.9 x a d = 3 down-conversion state + 0.1 x white noise, so every sector has counts."""
+    rho, _ = white_noise_spdc(3, 1.5, 0.9)
+    return simulate_counts(rho, family_settings("pairwise", 3, 3), 1000.0, 1.0, seed=5)
+
+
+def test_known_on_a_record_scores_the_record_estimates_of_any_bijection(noisy_qutrit_record):
+    pairs = enumerate_pairs(3)
+    pairing = tuple((pairs[i], pairs[j]) for i, j in enumerate((1, 2, 0)))
+    report = pconcurrence_known(noisy_qutrit_record, pairing)
+    assert report.pairing_used == pairing
+    assert report.subspace_rows == sector_report(pairing, *sector_estimates(noisy_qutrit_record, pairing)).subspace_rows
+
+
+def test_known_on_a_record_checks_the_pairing(noisy_qutrit_record):
+    pairs = enumerate_pairs(3)
+    broken = tuple((a, pairs[0]) for a in pairs)  # b side repeats
+    with pytest.raises(ValueError, match="^pairing does not cover each side-B index pair exactly once$"):
+        pconcurrence_known(noisy_qutrit_record, broken)
