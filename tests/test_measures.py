@@ -179,10 +179,15 @@ def test_vanish_only_for_separable(alpha, beta):
         assert e > 0.0 and c > 0.0
     tr2 = float(np.trace(ket.reduced_a() @ ket.reduced_a()).real)
     # S(rho_A) >= (1 - Tr rho_A^2) / ln 2, so a vanishing EOF forces a pure
-    # reduced state. The converse fails at these thresholds: beta = 3.14e-6
-    # gives 1 - Tr rho_A^2 = 2.0e-11 but an EOF of 3.8e-10.
+    # reduced state. Conversely a purity gap delta leaves about delta / 2 of
+    # weight off the largest Schmidt coefficient, so the EOF is below about
+    # (delta / 2) * log2(4e / delta) < 2e-9 for delta < 1e-10. Equal 1e-10
+    # thresholds do not hold: beta = 3.14e-6 gives 1 - Tr rho_A^2 = 2.0e-11
+    # but an EOF of 3.8e-10.
     if e < 1e-10:
         assert abs(tr2 - 1.0) < 1e-10
+    if abs(tr2 - 1.0) < 1e-10:
+        assert e < 1e-8
 
 
 def test_subspace_concurrence_monotone_along_beta_zero():
