@@ -59,7 +59,7 @@ def spectra(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, v, (w > np.maximum(w[..., :1], 0.0) * RANK_RTOL).sum(axis=-1)
 
 
-def _psd_factor(m: np.ndarray) -> np.ndarray:
+def psd_factor(m: np.ndarray) -> np.ndarray:
     """Rank-revealing factor L of a PSD matrix, m = L L^dag, columns v_i sqrt(w_i)."""
     w, v, rank = spectra(m)
     return v[:, :rank] * np.sqrt(w[:rank])
@@ -179,7 +179,7 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise ValueError(
             f"dimension mismatch: ({rho.dim_a}, {rho.dim_b}) vs ({sigma.dim_a}, {sigma.dim_b})"
         )
-    overlap = _psd_factor(rho.matrix).conj().T @ _psd_factor(sigma.matrix)
+    overlap = psd_factor(rho.matrix).conj().T @ psd_factor(sigma.matrix)
     f = float(np.linalg.svd(overlap, compute_uv=False).sum() ** 2)
     return min(1.0, max(0.0, f))
 

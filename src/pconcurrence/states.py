@@ -31,8 +31,6 @@ class BipartiteKet:
     dim_a: int
     dim_b: int
     amplitudes: np.ndarray
-    labels_a: tuple[int, ...] | None = None
-    labels_b: tuple[int, ...] | None = None
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -104,10 +102,6 @@ class DensityMatrix:
         if min_eig < PSD_ATOL:
             raise ValueError(f"positivity violated: min eigenvalue = {min_eig:.3e} below {PSD_ATOL:.1e}")
 
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
-
     def reduced(self, keep: str) -> np.ndarray:
         return partial_trace(self.matrix, (self.dim_a, self.dim_b), keep)
 
@@ -137,7 +131,7 @@ def make_spdc_qutrit(p: SpdcParams) -> BipartiteKet:
     amp[0] = n * p.alpha  # |+1>_A |-1>_B
     amp[4] = n            # | 0>_A | 0>_B
     amp[8] = n * p.beta   # |-1>_A |+1>_B
-    return BipartiteKet(3, 3, amp, labels_a=(1, 0, -1), labels_b=(-1, 0, 1))
+    return BipartiteKet(3, 3, amp)
 
 
 def make_max_entangled(d: int) -> BipartiteKet:
@@ -166,7 +160,7 @@ def make_spdc_qudit(d: int, decay: float) -> BipartiteKet:
     weights /= math.sqrt(float(np.sum(weights**2)))
     amp = np.zeros(d * d, dtype=complex)
     amp[:: d + 1] = weights
-    return BipartiteKet(d, d, amp, labels_a=lvals, labels_b=tuple(-l for l in lvals))
+    return BipartiteKet(d, d, amp)
 
 
 def density_from_ket(k: BipartiteKet) -> DensityMatrix:

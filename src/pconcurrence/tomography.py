@@ -3,8 +3,9 @@
 Measurement settings are joint rank-1 projectors, one ket per arm.
 Coincidence counts follow Poisson statistics with mean
 rate * integration_time * Born probability. Reconstruction is offered as
-least squares over a Hermitian operator basis (with a PSD projection)
-and as maximum likelihood, by an accelerated projected-gradient ascent
+least squares over a Hermitian operator basis, ending in the nearest
+density matrix, and as maximum likelihood, by an accelerated
+projected-gradient ascent (through that same nearest-state projection)
 with multiplicative R rho R steps and a Newton polish, monotone in the
 likelihood.
 """
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .measures import psd_factor
 from .states import KET_NORM_ATOL, DensityMatrix, parse_complex_list, parse_dim, parse_field, validate_density
 from .witness import WEIGHT_FLOOR, IndexPair, count_subspaces
 
@@ -98,10 +100,10 @@ def _check_seed(seed: int | None) -> None:
 class TomographyRecord:
     """Joint settings with observed coincidence counts.
 
-    counts are Poisson draws for simulated experiments; the exact-expectation
-    mode of simulate_counts stores real-valued means instead, which is only
-    meant for noiseless validation runs. The arm dimensions are those of the
-    settings' kets.
+    counts are finite and nonnegative: Poisson draws for simulated
+    experiments, or real-valued means rate_hz * integration_time_s * p_Born
+    for noiseless checks. The arm dimensions are those of the settings'
+    kets.
     """
 
     rate_hz: float
@@ -248,34 +250,29 @@ def simulate_counts(
     rate_hz: float,
     integration_time_s: float,
     seed: int | None = None,
-    poisson: bool = True,
 ) -> TomographyRecord:
     """Draw coincidence counts for every setting.
 
     Counts are Poisson with mean rate_hz * integration_time_s * p_Born,
     one independent stream per (seed, setting index) so records are
-    reproducible regardless of evaluation order. poisson=False stores the
-    exact means instead (noiseless validation mode); seed is then ignored.
-    A rate_hz * integration_time_s that is not finite and positive, or a
-    Poisson mean above POISSON_MEAN_MAX, is refused before any count is drawn.
+    reproducible regardless of evaluation order. A rate_hz *
+    integration_time_s that is not finite and positive, or a Poisson mean
+    above POISSON_MEAN_MAX, is refused before any count is drawn.
     """
     scale = _count_scale(rate_hz, integration_time_s)
     _check_seed(seed)
     means = scale * born_probabilities(rho, settings)
-    if poisson:
-        top = float(means.max(initial=0.0))
-        if top > POISSON_MEAN_MAX:
-            raise ValueError(
-                f"rate_hz * integration_time_s = {scale!r} gives a Poisson mean of {top!r}, "
-                f"above numpy's largest {POISSON_MEAN_MAX!r}"
-            )
-        base = np.random.SeedSequence().entropy if seed is None else seed
-        counts = np.zeros(len(means))
-        for i in np.flatnonzero(means):  # a zero mean draws 0 without its stream
-            stream = np.random.SeedSequence(entropy=base, spawn_key=(int(i),))
-            counts[i] = np.random.default_rng(stream).poisson(means[i])
-    else:
-        counts = means
+    top = float(means.max(initial=0.0))
+    if top > POISSON_MEAN_MAX:
+        raise ValueError(
+            f"rate_hz * integration_time_s = {scale!r} gives a Poisson mean of {top!r}, "
+            f"above numpy's largest {POISSON_MEAN_MAX!r}"
+        )
+    base = np.random.SeedSequence().entropy if seed is None else seed
+    counts = np.zeros(len(means))
+    for i in np.flatnonzero(means):  # a zero mean draws 0 without its stream
+        stream = np.random.SeedSequence(entropy=base, spawn_key=(int(i),))
+        counts[i] = np.random.default_rng(stream).poisson(means[i])
     return TomographyRecord(rate_hz, integration_time_s, settings, counts, seed)
 
 
@@ -350,12 +347,20 @@ def _product_factors(record: TomographyRecord) -> tuple[np.ndarray, np.ndarray, 
     return table.joint_kets(), np.ones((1, 1), dtype=complex), freq[:, None]
 
 
+def _require_counts(record: TomographyRecord) -> None:
+    """Refuse a record without a single count, which neither fit can use."""
+    if not record.counts.any():
+        raise ValueError("record has no counts; there is nothing to fit")
+
+
 def reconstruct_linear(record: TomographyRecord) -> DensityMatrix:
-    """Least-squares state fit followed by a PSD projection.
+    """Least-squares state fit, projected onto the nearest density matrix.
 
     Expands rho over the product basis E_p x F_q of the arms' Hermitian
     bases, solves for the coefficients against the observed frequencies,
-    clips negative eigenvalues to zero and renormalizes the trace.
+    and returns the unit-trace PSD matrix nearest to that Hermitian
+    estimate in Frobenius norm (_nearest_density, the projection of the
+    MLE's gradient steps). A record without counts is refused.
 
     A record of product settings whose rows are every pair of its distinct
     arm-A kets (matched by bytes) and distinct arm-B kets, each pair once in
@@ -370,6 +375,7 @@ def reconstruct_linear(record: TomographyRecord) -> DensityMatrix:
     eps * max(m, n^2) times the largest, lstsq's rcond=None rule. Requires
     rank n^2, the settings spanning the full operator space.
     """
+    _require_counts(record)
     n = record.dim_a * record.dim_b
     kets_a, kets_b, grid = _product_factors(record)
     n_a, n_b = kets_a.shape[1], kets_b.shape[1]
@@ -386,13 +392,7 @@ def reconstruct_linear(record: TomographyRecord) -> DensityMatrix:
     # rho[(i, k), (j, l)] = sum_q H_q[i, j] F_q[k, l], with H_q = sum_p C[p, q] E_p
     h = _hermitian_from_coefficients(coeff_t, n_a)
     rho = _hermitian_from_coefficients(h.transpose(1, 2, 0), n_b).transpose(0, 2, 1, 3).reshape(n, n)
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    rho = (v * w) @ v.conj().T
-    tr = float(np.trace(rho).real)
-    if tr <= 0:
-        raise ValueError("least-squares estimate has nonpositive trace after PSD projection")
-    return validate_density(rho / tr, (record.dim_a, record.dim_b))
+    return validate_density(_nearest_density(rho), (record.dim_a, record.dim_b))
 
 
 # The fit stops at the first step gaining less than TOL in ll, or warns after MAX_ITER.
@@ -403,8 +403,6 @@ MAX_ITER = 10000
 POLISH_GAIN = 1e-2
 # The Newton polish runs while its factor has at most this many real parameters.
 NEWTON_MAX_PARAMS = 512
-# Eigenvalues below this fraction of the largest are outside the factor's rank.
-RANK_RTOL = 1e-12
 # The gradient step length doubles after every iteration, up to this cap.
 STEP_MAX = 1e6
 
@@ -419,8 +417,7 @@ class _Likelihood:
     """
 
     def __init__(self, record: TomographyRecord):
-        if float(record.counts.sum()) <= 0:
-            raise ValueError("record has no counts; likelihood is flat")
+        _require_counts(record)
         seen = record.counts > 0
         self.kets = record.settings.joint_kets()[seen]
         self.counts = record.counts[seen]
@@ -512,8 +509,9 @@ def _rho_r_rho(like: _Likelihood, rho: np.ndarray, p: np.ndarray) -> Step:
 def _newton_step(like: _Likelihood, rho: np.ndarray, p: np.ndarray) -> Step | None:
     """Saddle-free Newton step on a factor of rho, or None when the factor is too big.
 
-    With rho = A A^dag, A of rank r = the numerical rank of rho, the step
-    maximizes F(A) = sum_j c_j log |A^dag v_j|^2 - N log |A|^2, which is
+    With rho = A A^dag, A = psd_factor(rho) of rank r (the eigenvalues
+    above measures.RANK_RTOL of the largest, the package's one cut), the
+    step maximizes F(A) = sum_j c_j log |A^dag v_j|^2 - N log |A|^2, which is
     ll(A A^dag / Tr). Moving A both reweights rho inside its support and
     tilts the support, so near a rank-deficient maximum the step is exact
     to second order where gradient steps crawl. F is not concave in A, and
@@ -522,12 +520,10 @@ def _newton_step(like: _Likelihood, rho: np.ndarray, p: np.ndarray) -> Step | No
     from the maximum that quadratic model overshoots, so the factor step
     halves until it loses no likelihood, as in _rho_r_rho.
     """
-    lam, U = np.linalg.eigh(rho)
-    keep = lam > RANK_RTOL * lam[-1]
-    n, r = len(lam), int(keep.sum())
+    A = psd_factor(rho)
+    n, r = A.shape
     if 2 * n * r > NEWTON_MAX_PARAMS:
         return None
-    A = U[:, keep] * np.sqrt(lam[keep])
     W = like.kets @ A.conj()
     q = (np.abs(W) ** 2).sum(axis=1)
     live = q > PROB_FLOOR  # the floored terms of ll are flat in A

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from pconcurrence.measures import wootters_concurrences
+from pconcurrence.states import as_density
+from pconcurrence.tomography import TomographyRecord, born_probabilities
 from pconcurrence.witness import WEIGHT_FLOOR, sector_pairs, sector_states
 
 
@@ -28,6 +30,11 @@ def _enumerated_search(rho):
 
     best = max(itertools.permutations(range(k)), key=product)
     return best, product(best)
+
+
+def noiseless_record(state, settings, rate_hz=1e4, time_s=1.0):
+    """A record whose counts are the exact means rate_hz * time_s * p_Born, multiplied as simulate_counts does."""
+    return TomographyRecord(rate_hz, time_s, settings, rate_hz * time_s * born_probabilities(as_density(state), settings))
 
 
 @pytest.fixture()

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from conftest import noiseless_record
 from pconcurrence.measures import (
     eof_pure,
     i_concurrence,
@@ -189,14 +190,14 @@ def test_criterion_6_noiseless_round_trips():
         bell = make_max_entangled(2)
         bell_settings = family_settings("pairwise", 2, 2)
         bell_truth = density_from_ket(bell)
-        record = simulate_counts(bell_truth, bell_settings, 1e4, 1.0, poisson=False)
+        record = noiseless_record(bell_truth, bell_settings)
         assert len(record.settings) == 36
         for method in (reconstruct_linear, reconstruct_mle):
             assert uhlmann_fidelity(method(record), bell_truth) >= 0.9999
 
         qutrit = make_max_entangled(3)
         qutrit_truth = density_from_ket(qutrit)
-        record3 = simulate_counts(qutrit_truth, qutrit_settings(), 1e4, 1.0, poisson=False)
+        record3 = noiseless_record(qutrit_truth, qutrit_settings())
         assert len(record3.settings) == 225
         for method in (reconstruct_linear, reconstruct_mle):
             assert uhlmann_fidelity(method(record3), qutrit_truth) >= 0.9999

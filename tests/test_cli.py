@@ -446,6 +446,19 @@ def test_reconstruct_bad_target_writes_nothing(tmp_path, monkeypatch, max_qutrit
     assert not Path("rho.json").exists()
 
 
+def test_reconstruct_refuses_a_record_without_counts(tmp_path, monkeypatch, max_qutrit_file, capsys):
+    # both fits share one check, so both methods print the same error line
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", max_qutrit_file, "--time-s", "1", "--out", "record.json"]) == 0
+    obj = json.loads(Path("record.json").read_text())
+    Path("record.json").write_text(json.dumps({**obj, "counts": [0] * len(obj["counts"])}))
+    capsys.readouterr()
+    for method in ("linear", "mle"):
+        assert main(["reconstruct", "record.json", "--method", method, "--out", f"{method}.json"]) == 1
+        assert capsys.readouterr() == ("", "error: record has no counts; there is nothing to fit\n")
+        assert not Path(f"{method}.json").exists()
+
+
 def test_sweep_endpoints_and_header(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--grid-n", "4", "--out", str(out)]) == 0

@@ -93,8 +93,6 @@ def test_spdc_qudit_gaussian_weights():
     w = np.array([math.exp(-0.5), 1.0, math.exp(-0.5)])
     w /= np.linalg.norm(w)
     assert np.allclose(ket.amplitudes[[0, 4, 8]], w, atol=1e-12)
-    assert ket.labels_a == (1, 0, -1)
-    assert ket.labels_b == (-1, 0, 1)
 
 
 @settings(max_examples=50, deadline=None)

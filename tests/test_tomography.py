@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from conftest import noiseless_record
 from pconcurrence.measures import uhlmann_fidelity, wootters_concurrence
 from pconcurrence import tomography
 from pconcurrence.states import (
@@ -52,10 +53,6 @@ def qutrit_settings():
 def take(settings, index):
     """The rows index of a settings table, in that order."""
     return Settings(settings.kets_a[index], settings.kets_b[index], settings.labels_a[index], settings.labels_b[index])
-
-
-def noiseless_record(state, settings, scale=1e4):
-    return simulate_counts(density_from_ket(state), settings, rate_hz=scale, integration_time_s=1.0, poisson=False)
 
 
 def random_density(d, rank, seed, d_b=None):
@@ -215,7 +212,7 @@ def test_simulated_means_and_counts_match_per_setting_kron_vdot():
                 v = np.kron(a, b)
                 probs.append(min(1.0, max(0.0, float(np.vdot(v, rho.matrix @ v).real))))
             means = np.array([1e3 * 10.0 * p for p in probs])
-            exact = simulate_counts(rho, settings, 1e3, 10.0, poisson=False)
+            exact = noiseless_record(rho, settings, 1e3, 10.0)
             assert exact.counts.tobytes() == means.tobytes(), name
             drawn = simulate_counts(rho, settings, 1e3, 10.0, seed=17)
             streams = [np.random.SeedSequence(entropy=17, spawn_key=(i,)) for i in range(len(means))]
@@ -246,15 +243,21 @@ def test_simulate_rejects_bad_rate():
 
 @pytest.mark.parametrize("rate_hz, time_s", [(1e300, 1e300), (1e200, 1e200)])
 def test_simulate_refuses_a_non_finite_count_scale(rate_hz, time_s):
-    for poisson in (True, False):
-        with pytest.raises(ValueError, match=r"^rate_hz \* integration_time_s = inf is not finite$"):
-            simulate_counts(density_from_ket(BELL), bell_settings(), rate_hz, time_s, poisson=poisson)
+    settings = bell_settings()
+    message = r"^rate_hz \* integration_time_s = inf is not finite$"
+    with pytest.raises(ValueError, match=message):
+        simulate_counts(density_from_ket(BELL), settings, rate_hz, time_s)
+    with pytest.raises(ValueError, match=message):
+        TomographyRecord(rate_hz, time_s, settings, np.zeros(len(settings)))
 
 
 def test_simulate_refuses_a_count_scale_that_underflows():
-    for poisson in (True, False):
-        with pytest.raises(ValueError, match=r"^rate_hz \* integration_time_s = 0\.0 underflows to zero$"):
-            simulate_counts(density_from_ket(BELL), bell_settings(), 1e-300, 1e-300, poisson=poisson)
+    settings = bell_settings()
+    message = r"^rate_hz \* integration_time_s = 0\.0 underflows to zero$"
+    with pytest.raises(ValueError, match=message):
+        simulate_counts(density_from_ket(BELL), settings, 1e-300, 1e-300)
+    with pytest.raises(ValueError, match=message):
+        TomographyRecord(1e-300, 1e-300, settings, np.zeros(len(settings)))
 
 
 @pytest.mark.parametrize(
@@ -281,7 +284,7 @@ def test_simulate_refuses_a_poisson_mean_numpy_cannot_draw():
     with pytest.raises(ValueError, match=message):
         simulate_counts(rho, settings, 1e10, 1e10, seed=0)
     # exact means need no draw
-    assert simulate_counts(rho, settings, 1e10, 1e10, poisson=False).counts.max() == pytest.approx(5e19)
+    assert noiseless_record(rho, settings, 1e10, 1e10).counts.max() == pytest.approx(5e19)
 
 
 def test_reconstruct_linear_noiseless_bell():
@@ -379,13 +382,27 @@ def literal_design(settings):
     return (outer @ basis.reshape(n * n, n * n).T).real, basis
 
 
+def nearest_state(m):
+    """The unit-trace PSD matrix nearest to Hermitian m in Frobenius norm.
+
+    Every eigenvalue moves by one shift t and is cut at zero. With the
+    eigenvalues sorted descending, t = (1 - u_1 - ... - u_k) / k for the
+    largest k whose u_k + t stays positive.
+    """
+    w, v = np.linalg.eigh(m)
+    u = np.sort(w)[::-1]
+    for k in range(len(u), 0, -1):
+        shift = (1.0 - u[:k].sum()) / k
+        if u[k - 1] + shift > 0:
+            break
+    return (v * np.maximum(w + shift, 0.0)) @ v.conj().T
+
+
 def joint_least_squares(design, basis, freq):
-    """The joint fit: lstsq on the whole design, then the PSD clip."""
+    """The joint fit: lstsq on the whole design, then the nearest state."""
     coeff, _, rank, _ = np.linalg.lstsq(design, freq, rcond=None)
     assert rank == len(basis)
-    w, v = np.linalg.eigh(np.tensordot(coeff, basis, 1))
-    rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    return rho / np.trace(rho).real
+    return nearest_state(np.tensordot(coeff, basis, 1))
 
 
 def test_reconstruct_linear_matches_the_joint_solve():
@@ -403,13 +420,13 @@ def test_reconstruct_linear_matches_the_joint_solve():
             "repeated": np.append(np.arange(m), m // 2),
             "replaced": np.where(np.arange(m) == m // 3, m // 2, np.arange(m)),  # m rows, not a grid
         }
-        for poisson in (True, False):
-            simulated = simulate_counts(rho, settings, 1e3, 1.0, seed=3, poisson=poisson)
+        noiseless, drawn = noiseless_record(rho, settings, 1e3, 1.0), simulate_counts(rho, settings, 1e3, 1.0, seed=3)
+        for kind, full in (("noiseless", noiseless), ("drawn", drawn)):
             for order, rows in orders.items():
-                record = replace(simulated, settings=take(settings, rows), counts=simulated.counts[rows])
+                record = replace(full, settings=take(settings, rows), counts=full.counts[rows])
                 expected = joint_least_squares(design[rows], basis, frequencies(record))
                 got = reconstruct_linear(record).matrix
-                assert np.abs(got - expected).max() < 1e-12, (name, order, poisson)
+                assert np.abs(got - expected).max() < 1e-12, (name, order, kind)
 
 
 def test_reconstruct_linear_solves_a_grid_per_arm(monkeypatch):
@@ -430,6 +447,16 @@ def test_reconstruct_linear_round_trip_at_d8():
     state = make_spdc_qudit(8, 1.5)
     record = noiseless_record(state, family_settings("pairwise", 8, 8))
     assert uhlmann_fidelity(reconstruct_linear(record), density_from_ket(state)) >= 0.9999
+
+
+def test_reconstruct_linear_ends_in_the_nearest_state_of_noisy_records():
+    # 0.98 separates the nearest state (0.990-0.993) from clipping and renormalizing (0.927-0.952)
+    for d in (4, 5):
+        settings = family_settings("pairwise", d, d)
+        for seed, decay in enumerate((2.5, 2.75, 3.0)):
+            rho = density_from_ket(make_spdc_qudit(d, decay))
+            record = simulate_counts(rho, settings, 1000.0, 10.0, seed=seed)
+            assert uhlmann_fidelity(reconstruct_linear(record), rho) >= 0.98, (d, decay)
 
 
 def test_reconstruct_mle_noiseless_bell():
@@ -602,7 +629,7 @@ def test_sector_records_match_the_per_setting_filter():
     for d in (3, 4):
         rho = density_from_ket(make_spdc_qudit(d, 1.5))
         settings = family_settings("pairwise", d, d)
-        records += [simulate_counts(rho, settings, 1e3, 10.0, seed=d), simulate_counts(rho, settings, 1e3, 10.0, poisson=False)]
+        records += [simulate_counts(rho, settings, 1e3, 10.0, seed=d), noiseless_record(rho, settings, 1e3, 10.0)]
     for record in records:
         pairs = sector_pairs(record.dim_a)
         for (a, b), sub in zip(pairs, sector_records(record, pairs), strict=True):
@@ -680,7 +707,7 @@ def test_save_record_writes_the_indented_json_dump(tmp_path):
     for name, d, settings in setting_sets():
         rho = random_density(d, 2, d)
         drawn = simulate_counts(rho, settings, 1e3, 10.0, seed=3)
-        for record in (drawn, simulate_counts(rho, settings, 1e3, 10.0, poisson=False),
+        for record in (drawn, noiseless_record(rho, settings, 1e3, 10.0),
                        record_from_dict(json.loads(json.dumps(record_to_dict(drawn))))):
             path = tmp_path / f"{name}.json"
             save_record(path, record)
