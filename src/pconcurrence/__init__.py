@@ -8,12 +8,8 @@ noise, and a measurement-budget calculator.
 """
 
 from .measures import (
-    MEASURE_NAMES,
-    MeasureValue,
     eof_pure,
-    evaluate_measure,
     i_concurrence,
-    normalize_measure,
     purity,
     uhlmann_fidelity,
     wootters_concurrence,
@@ -21,9 +17,12 @@ from .measures import (
 from .states import (
     BipartiteKet,
     DensityMatrix,
+    IndexPair,
     SpdcParams,
     as_density,
+    count_subspaces,
     density_from_ket,
+    enumerate_pairs,
     load_state,
     make_max_entangled,
     make_spdc_qudit,
@@ -47,11 +46,12 @@ from .tomography import (
     simulate_counts,
 )
 from .witness import (
-    IndexPair,
+    MEASURE_NAMES,
+    MeasureValue,
     WitnessReport,
-    count_subspaces,
-    enumerate_pairs,
+    evaluate_measure,
     identity_pairing,
+    normalize_measure,
     pconcurrence_known,
     pconcurrence_search,
 )

@@ -14,15 +14,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .measures import (
-    MEASURE_NAMES,
-    eof_pure,
-    evaluate_measure,
-    i_concurrence,
-    normalize_measure,
-    purity,
-    uhlmann_fidelity,
-)
+from .measures import eof_pure, i_concurrence, purity, uhlmann_fidelity
 from .states import (
     BipartiteKet,
     DensityMatrix,
@@ -30,6 +22,7 @@ from .states import (
     as_density,
     load_state,
     make_spdc_qutrit,
+    read_json,
     save_state,
     state_from_dict,
 )
@@ -46,8 +39,11 @@ from .tomography import (
     simulate_counts,
 )
 from .witness import (
+    MEASURE_NAMES,
     WitnessReport,
+    evaluate_measure,
     identity_pairing,
+    normalize_measure,
     pconcurrence_known,
     pconcurrence_search,
     report_to_dict,
@@ -67,7 +63,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_input(path: str) -> BipartiteKet | DensityMatrix | TomographyRecord:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    obj = read_json(path)
     if isinstance(obj, dict) and "settings" in obj:
         return record_from_dict(obj)
     return state_from_dict(obj)

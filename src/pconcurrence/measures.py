@@ -3,44 +3,23 @@
 Concurrence applies to two-qubit states (pure or mixed) and is evaluated
 on (M, 4, 4) stacks by one batched kernel, wootters_concurrences; the
 I-concurrence and entanglement of formation are pure-state measures in
-arbitrary dimensions. Normalization divides by the d-dimensional
-pure-state maximum so all measures land in [0, 1].
+arbitrary dimensions. The named measures of the CLI, with their
+normalizations, are witness.MEASURES.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .states import TRACE_ATOL, BipartiteKet, DensityMatrix, as_density
-
-MEASURE_NAMES = ("concurrence", "i_concurrence", "eof", "pconcurrence")
+from .states import TRACE_ATOL, BipartiteKet, DensityMatrix
 
 PURITY_GATE = 1.0 - 1e-6
-OVERSHOOT_ATOL = 1e-9
 RANK_RTOL = 1e-13
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    """A raw measure value together with its d-normalized form."""
-
-    raw: float
-    normalized: float
-    measure_name: str
-
-    def __post_init__(self):
-        if self.measure_name not in MEASURE_NAMES:
-            raise ValueError(f"unknown measure {self.measure_name!r}")
-        if self.raw < 0:
-            raise ValueError(f"raw value must be >= 0, got {self.raw!r}")
-        if not (0.0 <= self.normalized <= 1.0 + OVERSHOOT_ATOL):
-            raise ValueError(f"normalized value {self.normalized!r} outside [0, 1]")
 
 
 def spectra(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,27 +116,6 @@ def eof_pure(state: BipartiteKet | DensityMatrix) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
-def measure_maximum(measure_name: str, d: int) -> float:
-    """Pure-state maximum of a measure in d dimensions."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if measure_name == "eof":
-        return math.log2(d)
-    if measure_name == "i_concurrence":
-        return math.sqrt(2.0 * (d - 1) / d)
-    if measure_name in ("concurrence", "pconcurrence"):
-        return 1.0
-    raise ValueError(f"unknown measure {measure_name!r}")
-
-
-def normalize_measure(raw: float, measure_name: str, d: int) -> float:
-    """Divide by the d-dimensional maximum; clamp only roundoff-level overshoot."""
-    x = raw / measure_maximum(measure_name, d)
-    if x > 1.0 + OVERSHOOT_ATOL or x < -OVERSHOOT_ATOL:
-        raise ValueError(f"normalized {measure_name} = {x!r} overshoots [0, 1] beyond {OVERSHOOT_ATOL:.1e}")
-    return float(min(1.0, max(0.0, x)))
-
-
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2), ranging from 1/(dimA dimB) to 1."""
     return float(np.trace(rho.matrix @ rho.matrix).real)
@@ -182,28 +140,3 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     overlap = psd_factor(rho.matrix).conj().T @ psd_factor(sigma.matrix)
     f = float(np.linalg.svd(overlap, compute_uv=False).sum() ** 2)
     return min(1.0, max(0.0, f))
-
-
-def evaluate_measure(
-    state: BipartiteKet | DensityMatrix, measure_name: str, d: int | None = None
-) -> MeasureValue:
-    """Compute a named measure with its normalization; used by the CLI.
-
-    d defaults to min(dimA, dimB). The pconcurrence entry uses the
-    identity subspace pairing (the anticorrelated-basis convention).
-    """
-    if measure_name not in MEASURE_NAMES:
-        raise ValueError(f"unknown measure {measure_name!r} (choose from {MEASURE_NAMES})")
-    if d is None:
-        d = min(state.dim_a, state.dim_b)
-    if measure_name == "concurrence":
-        raw = wootters_concurrence(as_density(state))
-    elif measure_name == "i_concurrence":
-        raw = i_concurrence(state)
-    elif measure_name == "eof":
-        raw = eof_pure(state)
-    else:
-        from .witness import identity_pairing, pconcurrence_known
-
-        raw = pconcurrence_known(state, identity_pairing(state.dim_a)).pconcurrence
-    return MeasureValue(raw=raw, normalized=normalize_measure(raw, measure_name, d), measure_name=measure_name)

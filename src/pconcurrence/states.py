@@ -1,4 +1,4 @@
-"""Bipartite quantum states: kets, density matrices, parametric families, file I/O.
+"""Bipartite quantum states: kets, density matrices, parametric families, sector index pairs, file I/O.
 
 Basis convention for the down-conversion families: side A is ordered by
 decreasing angular-momentum label (+l ... -l) and side B by increasing
@@ -8,6 +8,7 @@ and the correlation-preserving subspace pairing is the identity matching.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -55,6 +56,32 @@ class BipartiteKet:
         """Reduced density matrix of side A (dimA x dimA)."""
         psi = self.amplitude_matrix()
         return psi @ psi.conj().T
+
+
+@dataclass(frozen=True, order=True)
+class IndexPair:
+    """Strictly ordered pair of basis indices on one side."""
+
+    lo: int
+    hi: int
+
+    def __post_init__(self):
+        if not (0 <= self.lo < self.hi):
+            raise ValueError(f"need 0 <= lo < hi, got ({self.lo}, {self.hi})")
+
+
+def enumerate_pairs(d: int) -> list[IndexPair]:
+    """All strictly ordered index pairs in lexicographic order."""
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    return [IndexPair(lo, hi) for lo, hi in itertools.combinations(range(d), 2)]
+
+
+def count_subspaces(d: int) -> int:
+    """Number of two-dimensional sectors of a d-dimensional side: d(d-1)/2, the length of enumerate_pairs(d)."""
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    return d * (d - 1) // 2
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -234,11 +261,11 @@ def parse_dim(obj: dict, key: str) -> int:
     return value
 
 
-def parse_complex_list(value, field: str) -> list[complex]:
-    """A JSON list of [re, im] number pairs as complex numbers; a ValueError names the field.
+def parse_complex_list(value, field: str, n: int, n_name: str) -> list[complex]:
+    """n JSON [re, im] number pairs as complex numbers; a ValueError names the field, and n by n_name.
 
     complex() refuses strings and null but takes booleans, so a pair holding
-    one is dropped, and the shortened list fails the length check.
+    one is dropped, and the shortened list fails the pair check.
     """
     try:
         z = [complex(re, im) for re, im in value if type(re) is not bool and type(im) is not bool]
@@ -246,6 +273,8 @@ def parse_complex_list(value, field: str) -> list[complex]:
         z = None
     if z is None or len(z) != len(value):
         raise ValueError(f"{field} must be a list of [re, im] pairs")
+    if len(z) != n:
+        raise ValueError(f"{field} has {len(z)} entries, expected {n_name} = {n}")
     return z
 
 
@@ -256,11 +285,11 @@ def state_from_dict(obj: dict) -> BipartiteKet | DensityMatrix:
     da, db = parse_dim(obj, "dimA"), parse_dim(obj, "dimB")
     data = require_field(obj, "data")
     if kind == "ket":
-        return BipartiteKet(da, db, parse_complex_list(data, "data"))
+        return BipartiteKet(da, db, parse_complex_list(data, "data", da * db, "dimA * dimB"))
     if kind == "density":
         if not isinstance(data, list):
             raise ValueError("data must be a list of rows of [re, im] pairs")
-        m = np.array([parse_complex_list(row, f"data[{i}]") for i, row in enumerate(data)])
+        m = np.array([parse_complex_list(row, f"data[{i}]", da * db, "dimA * dimB") for i, row in enumerate(data)])
         return validate_density(m, (da, db))
     raise ValueError(f"unknown state type {kind!r} (expected 'ket' or 'density')")
 
@@ -269,8 +298,16 @@ def save_state(path: str | Path, state: BipartiteKet | DensityMatrix) -> None:
     Path(path).write_text(json.dumps(state_to_dict(state), indent=2) + "\n", encoding="utf-8")
 
 
+def read_json(path: str | Path):
+    """The JSON document in a file; one nested too deeply to parse is a ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path} is nested too deeply to parse as JSON") from None
+
+
 def load_state(path: str | Path) -> BipartiteKet | DensityMatrix:
-    return state_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return state_from_dict(read_json(path))
 
 
 def as_density(state: BipartiteKet | DensityMatrix) -> DensityMatrix:

@@ -23,8 +23,17 @@ from pathlib import Path
 import numpy as np
 
 from .measures import psd_factor
-from .states import KET_NORM_ATOL, DensityMatrix, parse_complex_list, parse_dim, parse_field, validate_density
-from .witness import WEIGHT_FLOOR, IndexPair, count_subspaces
+from .states import (
+    KET_NORM_ATOL,
+    DensityMatrix,
+    IndexPair,
+    count_subspaces,
+    parse_complex_list,
+    parse_dim,
+    parse_field,
+    read_json,
+    validate_density,
+)
 
 PROB_FLOOR = 1e-15
 # numpy's largest Poisson mean (POISSON_LAM_MAX of numpy.random); a larger one raises "lam value too large".
@@ -701,14 +710,14 @@ def sector_estimates(
     """Stacked per-sector MLE states and weights of a qudit record.
 
     The weight estimate is the total sector frequency / 9: the 36 subspace
-    projectors of a pairwise record sum to 9 I. A sector below WEIGHT_FLOOR
-    (no counts) is not fitted and its state stays zero.
+    projectors of a pairwise record sum to 9 I. A sector without counts is
+    not fitted and its state stays zero.
     """
     states = np.zeros((len(pairs), 4, 4), dtype=complex)
     weights = np.zeros(len(pairs))
     for i, sub_record in enumerate(sector_records(record, pairs)):
         weights[i] = frequencies(sub_record).sum() / 9.0
-        if weights[i] >= WEIGHT_FLOOR:
+        if sub_record.counts.any():
             states[i] = reconstruct_mle(sub_record).matrix
     return states, weights
 
@@ -718,10 +727,8 @@ def sector_estimates(
 
 def budget(d: int, integration_time_s: float = 10.0) -> Budget:
     """Measurement counts and times: 36 K subspace settings vs (2d^2-d)^2 full QST."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    k = count_subspaces(d)  # refuses d < 2
     _check_positive("integration_time_s", integration_time_s)
-    k = count_subspaces(d)
     pconc, qst = 36 * k, (2 * d * d - d) ** 2
     time_s = float(integration_time_s)
     if not math.isfinite(qst * time_s):
@@ -772,11 +779,11 @@ def _json_number(value) -> float:
     return float(value)
 
 
-def _arm_ket(value, i: int, arm: str, dim: int) -> list[complex]:
-    ket = parse_complex_list(value, f"settings[{i}].{arm}")
-    if len(ket) != dim:
-        raise ValueError(f"settings[{i}].{arm} has {len(ket)} entries, expected dim{arm.upper()} = {dim}")
-    return ket
+def _json_counts(value) -> np.ndarray:
+    """The counts as floats; a boolean or string entry, which numpy would convert, is refused."""
+    if isinstance(value, list) and any(isinstance(c, (bool, str)) for c in value):
+        raise TypeError
+    return np.array(value, dtype=float)
 
 
 def record_from_dict(obj: dict) -> TomographyRecord:
@@ -796,8 +803,8 @@ def record_from_dict(obj: dict) -> TomographyRecord:
         label_a, label_b = s.get("label_a", ""), s.get("label_b", "")
         if not (isinstance(label_a, str) and isinstance(label_b, str)):
             raise ValueError(f"settings[{i}] labels must be strings")
-        kets_a.append(_arm_ket(a, i, "a", dim_a))
-        kets_b.append(_arm_ket(b, i, "b", dim_b))
+        kets_a.append(parse_complex_list(a, f"settings[{i}].a", dim_a, "dimA"))
+        kets_b.append(parse_complex_list(b, f"settings[{i}].b", dim_b, "dimB"))
         labels_a.append(label_a)
         labels_b.append(label_b)
     return TomographyRecord(
@@ -809,7 +816,7 @@ def record_from_dict(obj: dict) -> TomographyRecord:
             labels_a,
             labels_b,
         ),
-        counts=parse_field(obj, "counts", lambda c: np.array(c, dtype=float)),
+        counts=parse_field(obj, "counts", _json_counts),
         seed=obj.get("seed"),
     )
 
@@ -854,4 +861,4 @@ def save_record(path: str | Path, record: TomographyRecord) -> None:
 
 
 def load_record(path: str | Path) -> TomographyRecord:
-    return record_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return record_from_dict(read_json(path))

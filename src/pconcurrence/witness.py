@@ -12,28 +12,26 @@ pconcurrence_known and pconcurrence_search take a state or a tomography
 record. Its sectors come as a stack, from sector_states (one fancy index
 into the density) or tomography.sector_estimates (one MLE fit each), and
 sector_report scores the stack with one batched Wootters kernel.
+MEASURES is the table of named measures, this one among them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .measures import ket_fidelity, wootters_concurrences
-from .states import BipartiteKet, DensityMatrix, as_density, make_max_entangled
+from .measures import eof_pure, i_concurrence, ket_fidelity, wootters_concurrence, wootters_concurrences
+from .states import BipartiteKet, DensityMatrix, IndexPair, as_density, enumerate_pairs, make_max_entangled
+from .tomography import TomographyRecord, sector_estimates
 
-if TYPE_CHECKING:
-    from .tomography import TomographyRecord
-
-    Source = BipartiteKet | DensityMatrix | TomographyRecord
+Source = BipartiteKet | DensityMatrix | TomographyRecord
 
 WEIGHT_FLOOR = 1e-12
+OVERSHOOT_ATOL = 1e-9
 
 # One forbidden edge must outweigh any achievable log-product: |log C| is
 # bounded by ~700 per factor at double precision, K <= 2016 for d <= 64.
@@ -43,18 +41,6 @@ _FORBIDDEN_LOG = -1e18
 class SubspaceSupportError(ValueError):
     """Nothing raises it (a sector without support scores 0); it stays while
     perfbench/spans.py reads it by name to build its tracer."""
-
-
-@dataclass(frozen=True, order=True)
-class IndexPair:
-    """Strictly ordered pair of basis indices on one side."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if not (0 <= self.lo < self.hi):
-            raise ValueError(f"need 0 <= lo < hi, got ({self.lo}, {self.hi})")
 
 
 # A bijection between the K side-A index pairs and the K side-B pairs.
@@ -88,20 +74,6 @@ class WitnessReport:
     @property
     def pairing_used(self) -> Pairing:
         return tuple((row.a, row.b) for row in self.subspace_rows)
-
-
-def count_subspaces(d: int) -> int:
-    """Number of two-dimensional sectors of a d-dimensional side: d(d-1)/2."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    return d * (d - 1) // 2
-
-
-def enumerate_pairs(d: int) -> list[IndexPair]:
-    """All strictly ordered index pairs in lexicographic order."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    return [IndexPair(lo, hi) for lo, hi in itertools.combinations(range(d), 2)]
 
 
 def identity_pairing(d: int) -> Pairing:
@@ -198,11 +170,9 @@ def _check_pairing(pairing: Pairing, d: int) -> None:
 
 def _sectors(source: Source, pairs: Sequence[tuple[IndexPair, IndexPair]]) -> tuple[np.ndarray, np.ndarray]:
     """Sector states and weights: blocks of a state's density, or MLE estimates from a record."""
-    if isinstance(source, (BipartiteKet, DensityMatrix)):
-        return sector_states(as_density(source), pairs)
-    from .tomography import sector_estimates
-
-    return sector_estimates(source, pairs)
+    if isinstance(source, TomographyRecord):
+        return sector_estimates(source, pairs)
+    return sector_states(as_density(source), pairs)
 
 
 def pconcurrence_known(source: Source, pairing: Pairing) -> WitnessReport:
@@ -261,3 +231,59 @@ def report_to_dict(report: WitnessReport) -> dict:
             for r in report.subspace_rows
         ],
     }
+
+
+# Each named measure: (its value on a state, its pure-state maximum in d
+# dimensions, which normalizes it into [0, 1]). pconcurrence takes the
+# identity pairing, the correlation-preserving one of the state constructors.
+MEASURES = {
+    "concurrence": (lambda s: wootters_concurrence(as_density(s)), lambda d: 1.0),
+    "i_concurrence": (i_concurrence, lambda d: math.sqrt(2.0 * (d - 1) / d)),
+    "eof": (eof_pure, math.log2),
+    "pconcurrence": (lambda s: pconcurrence_known(s, identity_pairing(s.dim_a)).pconcurrence, lambda d: 1.0),
+}
+MEASURE_NAMES = tuple(MEASURES)
+
+
+@dataclass(frozen=True)
+class MeasureValue:
+    """A raw measure value together with its d-normalized form."""
+
+    raw: float
+    normalized: float
+    measure_name: str
+
+    def __post_init__(self):
+        if self.measure_name not in MEASURES:
+            raise ValueError(f"unknown measure {self.measure_name!r}")
+        if self.raw < 0:
+            raise ValueError(f"raw value must be >= 0, got {self.raw!r}")
+        if not (0.0 <= self.normalized <= 1.0 + OVERSHOOT_ATOL):
+            raise ValueError(f"normalized value {self.normalized!r} outside [0, 1]")
+
+
+def normalize_measure(raw: float, measure_name: str, d: int) -> float:
+    """Divide by the measure's maximum in d dimensions; clamp only roundoff-level overshoot."""
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    if measure_name not in MEASURES:
+        raise ValueError(f"unknown measure {measure_name!r}")
+    x = raw / MEASURES[measure_name][1](d)
+    if x > 1.0 + OVERSHOOT_ATOL or x < -OVERSHOOT_ATOL:
+        raise ValueError(f"normalized {measure_name} = {x!r} overshoots [0, 1] beyond {OVERSHOOT_ATOL:.1e}")
+    return float(min(1.0, max(0.0, x)))
+
+
+def evaluate_measure(
+    state: BipartiteKet | DensityMatrix, measure_name: str, d: int | None = None
+) -> MeasureValue:
+    """A named measure of a state with its normalization in d dimensions; used by the CLI.
+
+    d defaults to min(dimA, dimB).
+    """
+    if measure_name not in MEASURES:
+        raise ValueError(f"unknown measure {measure_name!r} (choose from {MEASURE_NAMES})")
+    if d is None:
+        d = min(state.dim_a, state.dim_b)
+    raw = MEASURES[measure_name][0](state)
+    return MeasureValue(raw=raw, normalized=normalize_measure(raw, measure_name, d), measure_name=measure_name)

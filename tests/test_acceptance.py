@@ -13,15 +13,17 @@ from conftest import noiseless_record
 from pconcurrence.measures import (
     eof_pure,
     i_concurrence,
-    normalize_measure,
     uhlmann_fidelity,
     wootters_concurrence,
 )
 from pconcurrence.states import (
     BipartiteKet,
     DensityMatrix,
+    IndexPair,
     SpdcParams,
+    count_subspaces,
     density_from_ket,
+    enumerate_pairs,
     make_max_entangled,
     make_spdc_qutrit,
     validate_density,
@@ -35,10 +37,8 @@ from pconcurrence.tomography import (
     simulate_counts,
 )
 from pconcurrence.witness import (
-    IndexPair,
-    count_subspaces,
-    enumerate_pairs,
     identity_pairing,
+    normalize_measure,
     pconcurrence_known,
     pconcurrence_search,
     sector_states,

@@ -76,6 +76,42 @@ def test_witness_malformed_density_entry_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: data[0] must be a list of [re, im] pairs\n"
 
 
+@pytest.mark.parametrize(
+    "kind, data, message",
+    [
+        ("density", "[[[0.5, 0]], [[0, 0], [0.5, 0]]]", "data[0] has 1 entries, expected dimA * dimB = 2"),
+        ("density", "[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0], [0, 0]]]", "data[1] has 3 entries, expected dimA * dimB = 2"),
+        ("ket", "[[1, 0]]", "data has 1 entries, expected dimA * dimB = 2"),
+    ],
+    ids=["density_short_first_row", "density_long_second_row", "ket_short"],
+)
+def test_state_entries_of_the_wrong_count_are_an_error(tmp_path, capsys, kind, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"type": "{kind}", "dimA": 1, "dimB": 2, "data": {data}}}')
+    assert main(["witness", str(bad)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "{deep}"],
+        ["measure", "{deep}", "--measure", "eof"],
+        ["simulate", "{deep}", "--out", "{out}"],
+        ["reconstruct", "{deep}", "--out", "{out}"],
+        ["reconstruct", "{record}", "--target", "{deep}", "--out", "{out}"],
+    ],
+)
+def test_deeply_nested_json_is_an_error(tmp_path, max_qutrit_file, capsys, argv):
+    deep, record, out = tmp_path / "deep.json", tmp_path / "record.json", tmp_path / "out.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["simulate", max_qutrit_file, "--time-s", "1", "--out", str(record)]) == 0
+    capsys.readouterr()
+    assert main([a.format(deep=deep, record=record, out=out) for a in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {deep} is nested too deeply to parse as JSON\n")
+    assert not out.exists()
+
+
 def test_witness_non_object_file_is_an_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
@@ -145,6 +181,14 @@ def _huge_rate(obj):
     obj["rate_hz"] = HUGE
 
 
+def _boolean_count(obj):
+    obj["counts"][0] = True
+
+
+def _string_count(obj):
+    obj["counts"][1] = "7"
+
+
 def _set(key, value):
     def edit(obj):
         obj[key] = value
@@ -187,6 +231,9 @@ def _drop(key):
         (_set("seed", -1), "seed must be an integer >= 0 or null, got -1"),
         (_huge_count, f"field 'counts' is malformed: [{str(HUGE)[:59]}"),
         (_huge_rate, f"field 'rate_hz' is malformed: {str(HUGE)[:60]}"),
+        # The message shows the first 60 characters of the edited counts of the seed-0 record.
+        (_boolean_count, "field 'counts' is malformed: [True, 0, 0, 161, 172, 157, 149, 159, 180, 167, 185, 0, 0, 0"),
+        (_string_count, "field 'counts' is malformed: [371, '7', 0, 161, 172, 157, 149, 159, 180, 167, 185, 0, 0, "),
     ],
 )
 @pytest.mark.parametrize("command", ["witness", "reconstruct"])

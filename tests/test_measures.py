@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pconcurrence.measures import (
-    MeasureValue,
     eof_pure,
-    evaluate_measure,
     i_concurrence,
     ket_fidelity,
-    normalize_measure,
     purity,
     spectra,
     uhlmann_fidelity,
@@ -27,6 +24,7 @@ from pconcurrence.states import (
     make_spdc_qutrit,
     validate_density,
 )
+from pconcurrence.witness import MeasureValue, evaluate_measure, normalize_measure
 
 BELL = make_max_entangled(2)
 
@@ -192,7 +190,8 @@ def test_vanish_only_for_separable(alpha, beta):
 
 def test_subspace_concurrence_monotone_along_beta_zero():
     # On the beta = 0 line the first sector concurrence is 2 alpha/(1+alpha^2).
-    from pconcurrence.witness import IndexPair, sector_states
+    from pconcurrence.states import IndexPair
+    from pconcurrence.witness import sector_states
 
     last = -1.0
     for alpha in np.linspace(0.02, 1.0, 25):

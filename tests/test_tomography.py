@@ -12,6 +12,7 @@ from pconcurrence import tomography
 from pconcurrence.states import (
     BipartiteKet,
     DensityMatrix,
+    IndexPair,
     SpdcParams,
     density_from_ket,
     make_max_entangled,
@@ -36,7 +37,7 @@ from pconcurrence.tomography import (
     sector_records,
     simulate_counts,
 )
-from pconcurrence.witness import IndexPair, identity_pairing, sector_pairs, sector_states
+from pconcurrence.witness import identity_pairing, sector_pairs, sector_states
 
 BELL = make_max_entangled(2)
 QUTRIT = make_max_entangled(3)

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from pconcurrence.measures import ket_fidelity, wootters_concurrences
 from pconcurrence.states import (
     BipartiteKet,
+    IndexPair,
     SpdcParams,
+    count_subspaces,
     density_from_ket,
+    enumerate_pairs,
     make_max_entangled,
     make_spdc_qudit,
     make_spdc_qutrit,
@@ -19,10 +22,7 @@ from pconcurrence.states import (
 from pconcurrence.tomography import family_settings, sector_estimates, simulate_counts
 from pconcurrence.witness import (
     WEIGHT_FLOOR,
-    IndexPair,
     WitnessReport,
-    count_subspaces,
-    enumerate_pairs,
     identity_pairing,
     pconcurrence_known,
     pconcurrence_search,
