@@ -46,8 +46,6 @@ from .tomography import (
     simulate_counts,
 )
 from .witness import (
-    MEASURE_NAMES,
-    MeasureValue,
     WitnessReport,
     evaluate_measure,
     identity_pairing,

@@ -39,7 +39,7 @@ from .tomography import (
     simulate_counts,
 )
 from .witness import (
-    MEASURE_NAMES,
+    MEASURES,
     WitnessReport,
     evaluate_measure,
     identity_pairing,
@@ -81,17 +81,17 @@ def cmd_measure(args: argparse.Namespace) -> int:
     state = _load_input(args.state_file)
     if isinstance(state, TomographyRecord):
         raise ValueError("measure expects a state file, not a tomography record")
-    value = evaluate_measure(state, args.measure, args.normalize_dim)
+    raw, normalized = evaluate_measure(state, args.measure, args.normalize_dim)
     payload = {
-        "measure": value.measure_name,
-        "raw": value.raw,
-        "normalized": value.normalized,
+        "measure": args.measure,
+        "raw": raw,
+        "normalized": normalized,
         "normalize_dim": args.normalize_dim or min(state.dim_a, state.dim_b),
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        print(f"{value.measure_name}: raw = {value.raw:.12g}, normalized = {value.normalized:.12g}")
+        print(f"{args.measure}: raw = {raw:.12g}, normalized = {normalized:.12g}")
     if args.out:
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="evaluate an entanglement measure on a state file")
     p.add_argument("state_file")
-    p.add_argument("--measure", choices=MEASURE_NAMES, required=True)
+    p.add_argument("--measure", choices=tuple(MEASURES), required=True)
     p.add_argument("--normalize-dim", type=int, default=None, dest="normalize_dim")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .states import TRACE_ATOL, BipartiteKet, DensityMatrix
+from .states import TRACE_ATOL, BipartiteKet, DensityMatrix, partial_trace
 
 PURITY_GATE = 1.0 - 1e-6
 RANK_RTOL = 1e-13
@@ -88,14 +88,15 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
 
 def _reduced_a_of_pure(state: BipartiteKet | DensityMatrix, caller: str) -> np.ndarray:
     if isinstance(state, BipartiteKet):
-        return state.reduced_a()
+        psi = state.amplitude_matrix()
+        return psi @ psi.conj().T
     pur = purity(state)
     if pur < PURITY_GATE:
         raise ValueError(
             f"{caller} is defined for pure states only: purity {pur:.6f} is below the "
             f"gate {PURITY_GATE}; mixed-state extensions are out of scope"
         )
-    return state.reduced("A")
+    return partial_trace(state.matrix, (state.dim_a, state.dim_b), "A")
 
 
 def i_concurrence(state: BipartiteKet | DensityMatrix) -> float:
@@ -108,12 +109,14 @@ def i_concurrence(state: BipartiteKet | DensityMatrix) -> float:
 def eof_pure(state: BipartiteKet | DensityMatrix) -> float:
     """Entanglement of formation of a pure state: entropy of rho_A in bits.
 
-    Eigenvalues at or below 1e-12 contribute zero (0 log 0 := 0).
+    Eigenvalues at or below 1e-12 contribute zero (0 log 0 := 0). A product
+    state's one eigenvalue can round to just above 1, whose entropy is a
+    negative round-off, so the value is clamped at 0 (and never -0).
     """
     rho_a = _reduced_a_of_pure(state, "eof_pure")
     w = np.linalg.eigvalsh((rho_a + rho_a.conj().T) / 2)
     w = w[w > 1e-12]
-    return float(-np.sum(w * np.log2(w)))
+    return max(0.0, float(-np.sum(w * np.log2(w))))
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -52,10 +52,9 @@ class BipartiteKet:
         """Amplitudes reshaped to a (dimA, dimB) matrix."""
         return self.amplitudes.reshape(self.dim_a, self.dim_b)
 
-    def reduced_a(self) -> np.ndarray:
-        """Reduced density matrix of side A (dimA x dimA)."""
-        psi = self.amplitude_matrix()
-        return psi @ psi.conj().T
+
+# A sector whose weight Tr(B rho B^dag) is below this holds no state to score or fit.
+WEIGHT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, order=True)
@@ -128,9 +127,6 @@ class DensityMatrix:
         min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
         if min_eig < PSD_ATOL:
             raise ValueError(f"positivity violated: min eigenvalue = {min_eig:.3e} below {PSD_ATOL:.1e}")
-
-    def reduced(self, keep: str) -> np.ndarray:
-        return partial_trace(self.matrix, (self.dim_a, self.dim_b), keep)
 
 
 @dataclass(frozen=True)
@@ -215,26 +211,15 @@ def validate_density(m: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
 # kets: flat list of [re, im] pairs; densities: square nested lists of pairs.
 
 
-def _c2pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def complex_pairs(a: np.ndarray) -> list:
+    """A complex array as nested lists of [re, im] float pairs, the one encoder of state and record files."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def state_to_dict(state: BipartiteKet | DensityMatrix) -> dict:
-    if isinstance(state, BipartiteKet):
-        return {
-            "type": "ket",
-            "dimA": state.dim_a,
-            "dimB": state.dim_b,
-            "data": [_c2pair(z) for z in state.amplitudes],
-        }
-    if isinstance(state, DensityMatrix):
-        return {
-            "type": "density",
-            "dimA": state.dim_a,
-            "dimB": state.dim_b,
-            "data": [[_c2pair(z) for z in row] for row in state.matrix],
-        }
-    raise TypeError(f"expected BipartiteKet or DensityMatrix, got {type(state).__name__}")
+    ket = isinstance(state, BipartiteKet)
+    data = state.amplitudes if ket else as_density(state).matrix  # as_density refuses any other type
+    return {"type": "ket" if ket else "density", "dimA": state.dim_a, "dimB": state.dim_b, "data": complex_pairs(data)}
 
 
 def require_field(obj: dict, key: str):

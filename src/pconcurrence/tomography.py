@@ -25,8 +25,10 @@ import numpy as np
 from .measures import psd_factor
 from .states import (
     KET_NORM_ATOL,
+    WEIGHT_FLOOR,
     DensityMatrix,
     IndexPair,
+    complex_pairs,
     count_subspaces,
     parse_complex_list,
     parse_dim,
@@ -710,14 +712,15 @@ def sector_estimates(
     """Stacked per-sector MLE states and weights of a qudit record.
 
     The weight estimate is the total sector frequency / 9: the 36 subspace
-    projectors of a pairwise record sum to 9 I. A sector without counts is
-    not fitted and its state stays zero.
+    projectors of a pairwise record sum to 9 I. A sector whose weight is
+    below WEIGHT_FLOOR, one without counts among them, is not fitted and its
+    state stays zero: witness.sector_report scores it 0 without reading it.
     """
     states = np.zeros((len(pairs), 4, 4), dtype=complex)
     weights = np.zeros(len(pairs))
     for i, sub_record in enumerate(sector_records(record, pairs)):
         weights[i] = frequencies(sub_record).sum() / 9.0
-        if sub_record.counts.any():
+        if weights[i] >= WEIGHT_FLOOR:
             states[i] = reconstruct_mle(sub_record).matrix
     return states, weights
 
@@ -737,10 +740,6 @@ def budget(d: int, integration_time_s: float = 10.0) -> Budget:
 
 
 # --- record file format -----------------------------------------------------
-
-
-def _ket_pairs(v: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in v]
 
 
 def _record_head(record: TomographyRecord) -> dict:
@@ -765,8 +764,8 @@ def record_to_dict(record: TomographyRecord) -> dict:
     return {
         **_record_head(record),
         "settings": [
-            {"a": _ket_pairs(a), "b": _ket_pairs(b), "label_a": la, "label_b": lb}
-            for a, b, la, lb in zip(s.kets_a, s.kets_b, s.labels_a, s.labels_b)
+            {"a": a, "b": b, "label_a": la, "label_b": lb}
+            for a, b, la, lb in zip(complex_pairs(s.kets_a), complex_pairs(s.kets_b), s.labels_a, s.labels_b)
         ],
         "counts": _count_values(record),
     }
@@ -839,7 +838,7 @@ def save_record(path: str | Path, record: TomographyRecord) -> None:
     """
     table, index = record.settings, {}
     rows_a, rows_b = _row_index(table.kets_a, index), _row_index(table.kets_b, index)
-    texts = [_nested_json(_ket_pairs(np.frombuffer(key, dtype=complex)), 3) for key in index]
+    texts = [_nested_json(complex_pairs(np.frombuffer(key, dtype=complex)), 3) for key in index]
     labels = {x: _nested_json(x, 3) for x in {*table.labels_a, *table.labels_b}}
     settings = [
         '{\n      "a": ' + texts[a]

@@ -25,12 +25,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .measures import eof_pure, i_concurrence, ket_fidelity, wootters_concurrence, wootters_concurrences
-from .states import BipartiteKet, DensityMatrix, IndexPair, as_density, enumerate_pairs, make_max_entangled
+from .states import WEIGHT_FLOOR, BipartiteKet, DensityMatrix, IndexPair, as_density, enumerate_pairs, make_max_entangled
 from .tomography import TomographyRecord, sector_estimates
 
 Source = BipartiteKet | DensityMatrix | TomographyRecord
 
-WEIGHT_FLOOR = 1e-12
 OVERSHOOT_ATOL = 1e-9
 
 # One forbidden edge must outweigh any achievable log-product: |log C| is
@@ -242,24 +241,6 @@ MEASURES = {
     "eof": (eof_pure, math.log2),
     "pconcurrence": (lambda s: pconcurrence_known(s, identity_pairing(s.dim_a)).pconcurrence, lambda d: 1.0),
 }
-MEASURE_NAMES = tuple(MEASURES)
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    """A raw measure value together with its d-normalized form."""
-
-    raw: float
-    normalized: float
-    measure_name: str
-
-    def __post_init__(self):
-        if self.measure_name not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure_name!r}")
-        if self.raw < 0:
-            raise ValueError(f"raw value must be >= 0, got {self.raw!r}")
-        if not (0.0 <= self.normalized <= 1.0 + OVERSHOOT_ATOL):
-            raise ValueError(f"normalized value {self.normalized!r} outside [0, 1]")
 
 
 def normalize_measure(raw: float, measure_name: str, d: int) -> float:
@@ -276,14 +257,14 @@ def normalize_measure(raw: float, measure_name: str, d: int) -> float:
 
 def evaluate_measure(
     state: BipartiteKet | DensityMatrix, measure_name: str, d: int | None = None
-) -> MeasureValue:
-    """A named measure of a state with its normalization in d dimensions; used by the CLI.
+) -> tuple[float, float]:
+    """(raw, normalized): a named measure of a state and its normalization in d dimensions.
 
     d defaults to min(dimA, dimB).
     """
     if measure_name not in MEASURES:
-        raise ValueError(f"unknown measure {measure_name!r} (choose from {MEASURE_NAMES})")
+        raise ValueError(f"unknown measure {measure_name!r} (choose from {tuple(MEASURES)})")
     if d is None:
         d = min(state.dim_a, state.dim_b)
     raw = MEASURES[measure_name][0](state)
-    return MeasureValue(raw=raw, normalized=normalize_measure(raw, measure_name, d), measure_name=measure_name)
+    return raw, normalize_measure(raw, measure_name, d)

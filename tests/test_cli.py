@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,32 @@ def test_measure_eof_json(tmp_path, capsys):
     assert abs(payload["raw"] - 1.0) < 1e-9
     assert abs(payload["normalized"] - 0.6309297535714574) < 1e-6
     assert payload["normalize_dim"] == 3
+
+
+def product_kets(rng, d, n):
+    """The basis product |0,0> and n random complex product kets a x b of a d x d system."""
+    kets = [np.eye(d * d)[0]]
+    for _ in range(n):
+        a, b = (rng.normal(size=d) + 1j * rng.normal(size=d) for _ in "ab")
+        kets.append(np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b)))
+    return [BipartiteKet(d, d, v) for v in kets]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_measure_eof_of_product_kets_is_non_negative(tmp_path, capsys, d):
+    # The entropy of a reduced state whose one eigenvalue rounds just above
+    # 1 is a negative round-off; it reads 0, never a negative or -0.
+    path = tmp_path / "product.json"
+    for i, ket in enumerate(product_kets(np.random.default_rng(0), d, 8)):
+        save_state(path, ket)
+        assert main(["measure", str(path), "--measure", "eof"]) == 0
+        out = capsys.readouterr().out
+        assert "raw = -" not in out
+        if i == 0:
+            assert out == "eof: raw = 0, normalized = 0\n"
+        assert main(["measure", str(path), "--measure", "eof", "--format", "json"]) == 0
+        raw = json.loads(capsys.readouterr().out)["raw"]
+        assert 0.0 <= raw < 1e-12 and math.copysign(1.0, raw) == 1.0, (i, raw)
 
 
 def test_measure_invalid_file_nonzero_exit(tmp_path, capsys):

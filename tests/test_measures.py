@@ -24,7 +24,7 @@ from pconcurrence.states import (
     make_spdc_qutrit,
     validate_density,
 )
-from pconcurrence.witness import MeasureValue, evaluate_measure, normalize_measure
+from pconcurrence.witness import evaluate_measure, normalize_measure
 
 BELL = make_max_entangled(2)
 
@@ -175,7 +175,9 @@ def test_vanish_only_for_separable(alpha, beta):
         assert e < 1e-10 and c < 1e-10
     else:
         assert e > 0.0 and c > 0.0
-    tr2 = float(np.trace(ket.reduced_a() @ ket.reduced_a()).real)
+    psi = ket.amplitude_matrix()
+    rho_a = psi @ psi.conj().T
+    tr2 = float(np.trace(rho_a @ rho_a).real)
     # S(rho_A) >= (1 - Tr rho_A^2) / ln 2, so a vanishing EOF forces a pure
     # reduced state. Conversely a purity gap delta leaves about delta / 2 of
     # weight off the largest Schmidt coefficient, so the EOF is below about
@@ -267,18 +269,11 @@ def test_uhlmann_symmetric():
 def test_evaluate_measure_dispatch():
     ket = make_max_entangled(3)
     for name, raw in [("eof", math.log2(3)), ("i_concurrence", math.sqrt(4 / 3)), ("pconcurrence", 1.0)]:
-        value = evaluate_measure(ket, name)
-        assert abs(value.raw - raw) < 1e-9
-        assert abs(value.normalized - 1.0) < 1e-9
+        got, normalized = evaluate_measure(ket, name)
+        assert abs(got - raw) < 1e-9
+        assert abs(normalized - 1.0) < 1e-9
     with pytest.raises(ValueError, match="unknown measure"):
         evaluate_measure(ket, "negativity")
-
-
-def test_measure_value_validation():
-    with pytest.raises(ValueError):
-        MeasureValue(raw=-0.1, normalized=0.0, measure_name="eof")
-    with pytest.raises(ValueError):
-        MeasureValue(raw=0.5, normalized=1.5, measure_name="eof")
 
 
 # --- descending spectra and the one density gate --------------------------------

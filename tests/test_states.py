@@ -201,6 +201,25 @@ def test_state_json_round_trip_ket():
     assert np.abs(back.amplitudes - ket.amplitudes).max() < 1e-15
 
 
+def test_state_file_bytes_are_pinned(tmp_path):
+    # Each entry is written as an [re, im] pair of floats, -0.0 kept.
+    ket = BipartiteKet(1, 2, np.array([complex(0.6, -0.0), complex(-0.0, 0.8)]))
+    rho = DensityMatrix(1, 2, np.array([[complex(0.5, -0.0), complex(-0.0, -0.25)], [complex(-0.0, 0.25), 0.5]]))
+    expected = [
+        (ket, {"type": "ket", "dimA": 1, "dimB": 2, "data": [[0.6, -0.0], [-0.0, 0.8]]}),
+        (rho, {
+            "type": "density",
+            "dimA": 1,
+            "dimB": 2,
+            "data": [[[0.5, -0.0], [-0.0, -0.25]], [[-0.0, 0.25], [0.5, 0.0]]],
+        }),
+    ]
+    path = tmp_path / "state.json"
+    for state, obj in expected:
+        save_state(path, state)
+        assert path.read_text() == json.dumps(obj, indent=2) + "\n"
+
+
 def test_state_json_round_trip_density(tmp_path):
     rho = density_from_ket(make_spdc_qutrit(SpdcParams(0.3, 0.8)))
     path = tmp_path / "state.json"

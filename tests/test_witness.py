@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from pconcurrence.states import (
     make_spdc_qutrit,
     validate_density,
 )
+from pconcurrence import tomography
 from pconcurrence.tomography import family_settings, sector_estimates, simulate_counts
 from pconcurrence.witness import (
     WEIGHT_FLOOR,
@@ -445,3 +447,22 @@ def test_known_on_a_record_checks_the_pairing(noisy_qutrit_record):
     broken = tuple((a, pairs[0]) for a in pairs)  # b side repeats
     with pytest.raises(ValueError, match="^pairing does not cover each side-B index pair exactly once$"):
         pconcurrence_known(noisy_qutrit_record, broken)
+
+
+def test_sectors_below_the_weight_floor_are_not_fitted(monkeypatch):
+    # A rate * time far above the counts puts every sector weight below
+    # WEIGHT_FLOOR. sector_report scores such a sector 0 without reading its
+    # state, so it is not fitted, and the report is the all-zero one.
+    rho = density_from_ket(make_spdc_qudit(3, 1.5))
+    record = simulate_counts(rho, family_settings("pairwise", 3, 3), 1000.0, 10.0, seed=0)
+    faint = dataclasses.replace(record, rate_hz=1e17)
+    fits = []
+    mle = tomography.reconstruct_mle
+    monkeypatch.setattr(tomography, "reconstruct_mle", lambda sub: fits.append(1) or mle(sub))
+    for report in (pconcurrence_search(faint), pconcurrence_known(faint, identity_pairing(3))):
+        assert report.pairing_used == identity_pairing(3)
+        assert all(r.concurrence == r.fidelity == r.weight == 0.0 for r in report.subspace_rows)
+        assert report.pconcurrence == 0.0
+    assert fits == []
+    pconcurrence_search(record)
+    assert len(fits) == 9
