@@ -109,12 +109,17 @@ def i_concurrence(state: BipartiteKet | DensityMatrix) -> float:
 def eof_pure(state: BipartiteKet | DensityMatrix) -> float:
     """Entanglement of formation of a pure state: entropy of rho_A in bits.
 
-    Eigenvalues at or below 1e-12 contribute zero (0 log 0 := 0). A product
-    state's one eigenvalue can round to just above 1, whose entropy is a
-    negative round-off, so the value is clamped at 0 (and never -0).
+    A product state, whose rho_A has rank 1 under the rank cut of spectra
+    (RANK_RTOL), has EoF exactly 0: the entropy of its one eigenvalue, which
+    rounds near 1, would be a round-off of either sign. Otherwise
+    eigenvalues at or below 1e-12 contribute zero (0 log 0 := 0), and the
+    value is clamped at 0, since a ket is only normalized to within
+    KET_NORM_ATOL.
     """
     rho_a = _reduced_a_of_pure(state, "eof_pure")
     w = np.linalg.eigvalsh((rho_a + rho_a.conj().T) / 2)
+    if (w > w[-1] * RANK_RTOL).sum() < 2:
+        return 0.0
     w = w[w > 1e-12]
     return max(0.0, float(-np.sum(w * np.log2(w))))
 

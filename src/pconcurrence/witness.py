@@ -6,7 +6,7 @@ A-sectors with B-sectors is an entanglement measure that vanishes unless
 entanglement survives in every sector, which makes it a dimension
 witness. When the correlation-preserving pairing is unknown, the maximum
 over all K! pairings is taken exactly, as a linear-assignment problem on
-log-concurrences.
+log-concurrences, solved here in numpy by shortest augmenting paths.
 
 pconcurrence_known and pconcurrence_search take a state or a tomography
 record. Its sectors come as a stack, from sector_states (one fancy index
@@ -22,7 +22,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .measures import eof_pure, i_concurrence, ket_fidelity, wootters_concurrence, wootters_concurrences
 from .states import WEIGHT_FLOOR, BipartiteKet, DensityMatrix, IndexPair, as_density, enumerate_pairs, make_max_entangled
@@ -200,11 +199,55 @@ def maximize_over_pairings(conc: np.ndarray) -> tuple[int, ...]:
     positive = conc > 0.0
     log_conc = np.full(conc.shape, _FORBIDDEN_LOG)
     log_conc[positive] = np.log(conc[positive])
-    # For a square matrix the row indices come back as 0..K-1.
-    rows, cols = linear_sum_assignment(log_conc, maximize=True)
-    if not positive[rows, cols].all():
+    cols = _min_cost_assignment(-log_conc)
+    if not positive[np.arange(len(cols)), cols].all():
         return tuple(range(len(conc)))
     return tuple(int(j) for j in cols)
+
+
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """The column of each row in a minimum-cost bijection of a square cost matrix.
+
+    Shortest augmenting paths (Jonker & Volgenant; Crouse, IEEE TAES 52,
+    1679 (2016)). The dual potentials u, v keep every reduced cost
+    cost - u - v at or above 0, and at 0 on matched edges. A row reduction
+    starts them: each row takes its cheapest column, the first row to claim
+    a column keeps it, and only the rows left over run a Dijkstra pass.
+    """
+    n = len(cost)
+    u, v = cost.min(axis=1), np.zeros(n)
+    col4row, row4col = np.full(n, -1), np.full(n, -1)
+    for i, j in enumerate(cost.argmin(axis=1)):
+        if row4col[j] < 0:
+            row4col[j], col4row[i] = i, j
+    for start in np.flatnonzero(col4row < 0):
+        dist, path = np.full(n, np.inf), np.full(n, -1)
+        scanned, rows = np.zeros(n, dtype=bool), []
+        i, reach = start, 0.0
+        while True:
+            # Relax the columns from row i, then scan the nearest unscanned
+            # one, a free one among equals, so that ties end the path early.
+            r = reach + cost[i] - u[i] - v
+            closer = ~scanned & (r < dist)
+            dist[closer], path[closer] = r[closer], i
+            pending = np.where(scanned, np.inf, dist)
+            nearest = np.flatnonzero(pending == pending.min())
+            j = int(nearest[np.argmin(row4col[nearest] >= 0)])
+            reach, scanned[j] = dist[j], True
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            rows.append(i)
+        u[start] += reach
+        u[rows] += reach - dist[col4row[rows]]
+        v[scanned] -= reach - dist[scanned]
+        while True:  # flip the matching along the path back from the free column j
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return col4row
 
 
 def pconcurrence_search(source: Source) -> WitnessReport:

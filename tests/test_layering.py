@@ -1,6 +1,9 @@
 """The package's imports run one way: states -> measures -> tomography -> witness -> cli."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pconcurrence"
@@ -51,3 +54,24 @@ def test_imports_run_one_way_at_module_level():
             if nested:
                 violations.append(f"{module}.py:{line} imports {imported} inside a function or TYPE_CHECKING block")
     assert not violations, "\n".join(violations)
+
+
+def test_a_pairing_search_from_the_cli_imports_no_scipy(tmp_path):
+    # The runtime needs numpy only: importing scipy.optimize alone took
+    # several times the package's start-up and kept ~30 000 more objects
+    # alive for the garbage collector to rescan.
+    code = (
+        "import sys\n"
+        "from pconcurrence import make_max_entangled, save_state\n"
+        "from pconcurrence.cli import main\n"
+        "save_state('max4.json', make_max_entangled(4))\n"
+        "assert main(['witness', 'max4.json', '--pairing', 'search']) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))[:5]\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].split() == ["pconcurrence", "(assignment)", "1.00"], result.stdout

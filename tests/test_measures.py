@@ -133,6 +133,17 @@ def test_eof_product_state():
     assert eof_pure(ket) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_eof_of_random_product_kets_is_exactly_zero(d):
+    # Their reduced states keep one eigenvalue above the 1e-12 cut, within
+    # round-off of 1, whose entropy alone would read e.g. 8e-16.
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        a, b = (rng.normal(size=d) + 1j * rng.normal(size=d) for _ in "ab")
+        ket = BipartiteKet(d, d, np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b)))
+        assert eof_pure(ket) == 0.0
+
+
 def test_eof_rejects_mixed():
     with pytest.raises(ValueError, match="pure"):
         eof_pure(werner(0.5))

@@ -26,6 +26,7 @@ from pconcurrence.witness import (
     WEIGHT_FLOOR,
     WitnessReport,
     identity_pairing,
+    maximize_over_pairings,
     pconcurrence_known,
     pconcurrence_search,
     report_to_dict,
@@ -245,6 +246,44 @@ def test_assignment_equals_brute_force(enumerated_search):
                 # the zero rule makes the pairings agree when the maximum is 0 too
                 expected = tuple((pairs[i], pairs[j]) for i, j in enumerate(perm))
                 assert found.pairing_used == expected
+
+
+def test_assignment_equals_scipy_linear_sum_assignment():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(59)
+    identical = 0
+    for t in range(2400):
+        k = t % 28 + 1
+        # Every third table draws from {1/4, 1/2, 1}, where ties are common and
+        # products are exact; the others are continuous and tie-free.
+        tied = t % 3 == 0
+        conc = rng.choice([0.25, 0.5, 1.0], size=(k, k)) if tied else rng.uniform(0.01, 1.0, size=(k, k))
+        conc[rng.uniform(size=(k, k)) < (1.0 if t % 10 == 9 else rng.uniform())] = 0.0
+        perm = maximize_over_pairings(conc)
+        log_conc = np.log(np.where(conc > 0.0, conc, 1.0))
+        rows, cols = optimize.linear_sum_assignment(np.where(conc > 0.0, log_conc, -1e18), maximize=True)
+        if not (conc[rows, cols] > 0.0).all():
+            assert perm == tuple(range(k)), t
+            continue
+        assert math.prod(conc[i, j] for i, j in enumerate(perm)) == math.prod(conc[rows, cols]), t
+        if not tied:
+            assert perm == tuple(int(j) for j in cols), t
+            identical += 1
+    assert identical >= 1000
+
+
+@pytest.mark.parametrize(
+    "conc, perm",
+    [
+        ([[0.3]], (0,)),
+        ([[0.0]], (0,)),
+        # Only (1, 2, 0) avoids a zero; every row's best column is column 2.
+        ([[0.0, 0.5, 0.9], [0.0, 0.0, 0.4], [0.3, 0.0, 0.8]], (1, 2, 0)),
+    ],
+    ids=["k1", "k1_zero", "only_off_diagonal"],
+)
+def test_assignment_edge_tables(conc, perm):
+    assert maximize_over_pairings(np.array(conc)) == perm
 
 
 @pytest.mark.parametrize("d", [3, 5])
