@@ -14,16 +14,17 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .measures import eof_pure, i_concurrence, purity, uhlmann_fidelity
+import numpy as np
+
+from .measures import eof_of_reduced, i_concurrence_of_reduced, purity, reduced_a_of_kets, uhlmann_fidelity
 from .states import (
     BipartiteKet,
     DensityMatrix,
-    SpdcParams,
     as_density,
     load_state,
-    make_spdc_qutrit,
     read_json,
     save_state,
+    spdc_qutrit_amplitudes,
     state_from_dict,
 )
 from .tomography import (
@@ -47,6 +48,8 @@ from .witness import (
     pconcurrence_known,
     pconcurrence_search,
     report_to_dict,
+    sector_concurrences,
+    sector_states,
     side_dim,
 )
 
@@ -67,14 +70,6 @@ def _load_input(path: str) -> BipartiteKet | DensityMatrix | TomographyRecord:
     if isinstance(obj, dict) and "settings" in obj:
         return record_from_dict(obj)
     return state_from_dict(obj)
-
-
-def _sweep_row(alpha: float, beta: float) -> tuple[float, float, float]:
-    ket = make_spdc_qutrit(SpdcParams(alpha, beta))
-    report = pconcurrence_known(ket, identity_pairing(3))
-    eof_n = normalize_measure(eof_pure(ket), "eof", 3)
-    iconc_n = normalize_measure(i_concurrence(ket), "i_concurrence", 3)
-    return report.pconcurrence, eof_n, iconc_n
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
@@ -102,7 +97,20 @@ def _write_grid(args: argparse.Namespace, path: bool) -> int:
     if args.grid_n < 2:
         raise ValueError(f"grid-n must be >= 2, got {args.grid_n}")
     steps = [i / args.grid_n for i in range(args.grid_n + 1)]
-    rows = [(a, b, *_sweep_row(a, b)) for a in steps for b in ([1.0] if path else steps)]
+    grid = np.array([(a, b) for a in steps for b in ([1.0] if path else steps)])
+    kets = spdc_qutrit_amplitudes(grid[:, 0], grid[:, 1])
+    pairing = identity_pairing(3)
+    # Blocks of grid-n + 1 points, one alpha row of the sweep or the whole
+    # path: a few batched passes, without holding every sector stack at once.
+    columns = []
+    for block in np.split(kets, len(kets) // (args.grid_n + 1)):
+        rho_a = reduced_a_of_kets(block, 3)
+        columns.append([
+            sector_concurrences(*sector_states(block, (3, 3), pairing)).prod(axis=1),
+            normalize_measure(eof_of_reduced(rho_a), "eof", 3),
+            normalize_measure(i_concurrence_of_reduced(rho_a), "i_concurrence", 3),
+        ])
+    rows = np.column_stack([grid, np.concatenate(columns, axis=1).T]).tolist()
     lines = [SWEEP_HEADER] + [",".join(_fmt(v) for v in row) for row in rows]
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -3,13 +3,12 @@
 Concurrence applies to two-qubit states (pure or mixed) and is evaluated
 on (M, 4, 4) stacks by one batched kernel, wootters_concurrences; the
 I-concurrence and entanglement of formation are pure-state measures in
-arbitrary dimensions. The named measures of the CLI, with their
-normalizations, are witness.MEASURES.
+arbitrary dimensions, evaluated on (N, d, d) stacks of reduced states by
+i_concurrence_of_reduced and eof_of_reduced. The named measures of the
+CLI, with their normalizations, are witness.MEASURES.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -86,42 +85,61 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     return float(wootters_concurrences(rho.matrix[None])[0])
 
 
+def reduced_a_of_kets(kets: np.ndarray, dim_a: int) -> np.ndarray:
+    """(N, dimA, dimA) reduced states psi psi^dag of an (N, dimA * dimB) ket stack, psi the amplitude matrix."""
+    psi = kets.reshape(len(kets), dim_a, -1)
+    return psi @ psi.conj().transpose(0, 2, 1)
+
+
 def _reduced_a_of_pure(state: BipartiteKet | DensityMatrix, caller: str) -> np.ndarray:
+    """rho_A of one pure state as a stack of one; a density must pass the purity gate."""
     if isinstance(state, BipartiteKet):
-        psi = state.amplitude_matrix()
-        return psi @ psi.conj().T
+        return reduced_a_of_kets(state.amplitudes[None], state.dim_a)
     pur = purity(state)
     if pur < PURITY_GATE:
         raise ValueError(
             f"{caller} is defined for pure states only: purity {pur:.6f} is below the "
             f"gate {PURITY_GATE}; mixed-state extensions are out of scope"
         )
-    return partial_trace(state.matrix, (state.dim_a, state.dim_b), "A")
+    return partial_trace(state.matrix, (state.dim_a, state.dim_b), "A")[None]
+
+
+def i_concurrence_of_reduced(rho_a: np.ndarray) -> np.ndarray:
+    """I-concurrences sqrt(2 (1 - Tr rho_A^2)) of the pure states whose (N, d, d) reduced states are rho_a."""
+    tr2 = np.trace(rho_a @ rho_a, axis1=1, axis2=2).real
+    return np.sqrt(np.fmax(0.0, 2.0 * (1.0 - tr2)))
 
 
 def i_concurrence(state: BipartiteKet | DensityMatrix) -> float:
-    """I-concurrence sqrt(2 (1 - Tr rho_A^2)) of a pure state, any dimensions."""
-    rho_a = _reduced_a_of_pure(state, "i_concurrence")
-    tr2 = float(np.trace(rho_a @ rho_a).real)
-    return math.sqrt(max(0.0, 2.0 * (1.0 - tr2)))
+    """I-concurrence of one pure state, any dimensions (i_concurrence_of_reduced for N = 1)."""
+    return float(i_concurrence_of_reduced(_reduced_a_of_pure(state, "i_concurrence"))[0])
+
+
+def eof_of_reduced(rho_a: np.ndarray) -> np.ndarray:
+    """Entanglements of formation, in bits, of the pure states whose (N, d, d) reduced states are rho_a.
+
+    Each is the entropy of the eigenvalues of rho_A above the rank cut of
+    spectra (RANK_RTOL times the largest); the rest contribute zero
+    (0 log 0 := 0). A product state, of rank 1, has EoF exactly 0: the
+    entropy of its one eigenvalue, which rounds near 1, would be a
+    round-off of either sign. The value is clamped at 0, since a ket is
+    only normalized to within KET_NORM_ATOL. The entropy sum runs per group
+    of equal rank, over the kept eigenvalues only, so no result depends on
+    its neighbours or on the zeros it leaves out.
+    """
+    w = np.linalg.eigvalsh((rho_a + rho_a.conj().transpose(0, 2, 1)) / 2)
+    rank = (w > w[:, -1:] * RANK_RTOL).sum(axis=1)
+    eof = np.zeros(len(w))
+    for r in np.unique(rank[rank > 1]):
+        group = rank == r
+        p = w[group, -r:]
+        eof[group] = -np.sum(p * np.log2(p), axis=1)
+    return np.fmax(0.0, eof)
 
 
 def eof_pure(state: BipartiteKet | DensityMatrix) -> float:
-    """Entanglement of formation of a pure state: entropy of rho_A in bits.
-
-    A product state, whose rho_A has rank 1 under the rank cut of spectra
-    (RANK_RTOL), has EoF exactly 0: the entropy of its one eigenvalue, which
-    rounds near 1, would be a round-off of either sign. Otherwise
-    eigenvalues at or below 1e-12 contribute zero (0 log 0 := 0), and the
-    value is clamped at 0, since a ket is only normalized to within
-    KET_NORM_ATOL.
-    """
-    rho_a = _reduced_a_of_pure(state, "eof_pure")
-    w = np.linalg.eigvalsh((rho_a + rho_a.conj().T) / 2)
-    if (w > w[-1] * RANK_RTOL).sum() < 2:
-        return 0.0
-    w = w[w > 1e-12]
-    return max(0.0, float(-np.sum(w * np.log2(w))))
+    """Entanglement of formation of one pure state (eof_of_reduced for N = 1)."""
+    return float(eof_of_reduced(_reduced_a_of_pure(state, "eof_pure"))[0])
 
 
 def purity(rho: DensityMatrix) -> float:

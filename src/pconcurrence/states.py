@@ -42,15 +42,34 @@ class BipartiteKet:
             raise ValueError(
                 f"amplitude vector has length {amp.shape}, expected {self.dim_a * self.dim_b}"
             )
-        if not np.isfinite(amp).all():
-            raise ValueError("amplitudes contain non-finite entries")
-        norm2 = float(np.vdot(amp, amp).real)
-        if abs(norm2 - 1.0) > KET_NORM_ATOL:
-            raise ValueError(f"ket is not normalized: sum |amp|^2 = {norm2!r}")
+        check_kets(amp[None])
 
     def amplitude_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to a (dimA, dimB) matrix."""
         return self.amplitudes.reshape(self.dim_a, self.dim_b)
+
+
+def check_kets(amps: np.ndarray) -> None:
+    """Raise unless every row of an (N, n) amplitude stack is a ket.
+
+    A ket has finite entries and sum |amp|^2 within KET_NORM_ATOL of 1. A
+    BipartiteKet is the N = 1 case; the error names the violated invariant,
+    and the norm of the first row that breaks it.
+    """
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes contain non-finite entries")
+    norm2 = (amps.conj()[:, None, :] @ amps[:, :, None]).real[:, 0, 0]
+    off = np.abs(norm2 - 1.0) > KET_NORM_ATOL
+    if off.any():
+        raise ValueError(f"ket is not normalized: sum |amp|^2 = {float(norm2[off][0])!r}")
+
+
+def check_unit_interval(name: str, values) -> None:
+    """Raise unless every one of values (a number or an array) lies in [0, 1], naming the first one outside."""
+    v = np.atleast_1d(values)
+    outside = ~((v >= 0.0) & (v <= 1.0))
+    if outside.any():
+        raise ValueError(f"{name} = {v[outside].tolist()[0]!r} outside [0, 1]")
 
 
 # A sector whose weight Tr(B rho B^dag) is below this holds no state to score or fit.
@@ -137,24 +156,33 @@ class SpdcParams:
     beta: float
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha = {self.alpha!r} outside [0, 1]")
-        if not (0.0 <= self.beta <= 1.0):
-            raise ValueError(f"beta = {self.beta!r} outside [0, 1]")
+        check_unit_interval("alpha", self.alpha)
+        check_unit_interval("beta", self.beta)
+
+
+def spdc_qutrit_amplitudes(alpha, beta) -> np.ndarray:
+    """(N, 9) amplitudes of the two-photon qutrit family at N points (alpha[i], beta[i]).
+
+    Row i is (|0,0> + alpha|1,-1> + beta|-1,1>) / sqrt(1+alpha^2+beta^2).
+    Side A basis order is (+1, 0, -1), side B is (-1, 0, +1), so the three
+    amplitudes land on matched indices (0,0), (1,1), (2,2). alpha and beta
+    must lie in [0, 1], and every row passes check_kets.
+    """
+    alpha, beta = np.broadcast_arrays(np.atleast_1d(alpha), np.atleast_1d(beta))
+    check_unit_interval("alpha", alpha)
+    check_unit_interval("beta", beta)
+    n = 1.0 / np.sqrt(1.0 + alpha**2 + beta**2)
+    amp = np.zeros((len(n), 9), dtype=complex)
+    amp[:, 0] = n * alpha  # |+1>_A |-1>_B
+    amp[:, 4] = n          # | 0>_A | 0>_B
+    amp[:, 8] = n * beta   # |-1>_A |+1>_B
+    check_kets(amp)
+    return amp
 
 
 def make_spdc_qutrit(p: SpdcParams) -> BipartiteKet:
-    """Two-photon qutrit (|0,0> + alpha|1,-1> + beta|-1,1>) / sqrt(1+alpha^2+beta^2).
-
-    Side A basis order is (+1, 0, -1), side B is (-1, 0, +1), so the three
-    amplitudes land on matched indices (0,0), (1,1), (2,2).
-    """
-    n = 1.0 / math.sqrt(1.0 + p.alpha**2 + p.beta**2)
-    amp = np.zeros(9, dtype=complex)
-    amp[0] = n * p.alpha  # |+1>_A |-1>_B
-    amp[4] = n            # | 0>_A | 0>_B
-    amp[8] = n * p.beta   # |-1>_A |+1>_B
-    return BipartiteKet(3, 3, amp)
+    """The qutrit family's ket at one point: spdc_qutrit_amplitudes for N = 1."""
+    return BipartiteKet(3, 3, spdc_qutrit_amplitudes(p.alpha, p.beta)[0])
 
 
 def make_max_entangled(d: int) -> BipartiteKet:

@@ -9,9 +9,10 @@ over all K! pairings is taken exactly, as a linear-assignment problem on
 log-concurrences, solved here in numpy by shortest augmenting paths.
 
 pconcurrence_known and pconcurrence_search take a state or a tomography
-record. Its sectors come as a stack, from sector_states (one fancy index
-into the density) or tomography.sector_estimates (one MLE fit each), and
-sector_report scores the stack with one batched Wootters kernel.
+record. Its sectors come as a stack, from sector_states (one gather from
+a ket or density, a stack of one) or tomography.sector_estimates (one MLE
+fit each), and sector_report scores the stack with one batched Wootters
+kernel, sector_concurrences.
 MEASURES is the table of named measures, this one among them.
 """
 
@@ -91,23 +92,44 @@ def sector_pairs(d: int) -> list[tuple[IndexPair, IndexPair]]:
 
 
 def sector_states(
-    rho: DensityMatrix, pairs: Sequence[tuple[IndexPair, IndexPair]]
+    stack: np.ndarray, dims: tuple[int, int], pairs: Sequence[tuple[IndexPair, IndexPair]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Restrict a state to each two-qubit sector (a on side A, b on side B).
+    """Restrict N states to each two-qubit sector (a on side A, b on side B).
 
-    With B = P_a x P_b, P_a selecting rows (lo, hi) of side A, returns the
-    (M, 4, 4) stack of B rho B^dag / weight (one fancy index into rho) and
-    the (M,) weights Tr(B rho B^dag). Subspace coordinates map lo -> 0 and
-    hi -> 1. States with weight below WEIGHT_FLOOR stay unnormalized.
+    stack is an (N, dimA * dimB) stack of kets or an (N, n, n) stack of
+    densities. With B = P_a x P_b, P_a selecting rows (lo, hi) of side A,
+    returns the (N, M, 4, 4) stack of B rho B^dag / weight and the (N, M)
+    weights Tr(B rho B^dag). For densities the blocks are one fancy index
+    into rho; for kets each block is v v^dag with v = psi[idx], entry for
+    entry the block of the projector |psi><psi|, which is never formed.
+    Subspace coordinates map lo -> 0 and hi -> 1. States with weight below
+    WEIGHT_FLOOR stay unnormalized.
     """
     lohi = np.array([(a.lo, a.hi, b.lo, b.hi) for a, b in pairs]).reshape(-1, 4)
-    if (lohi[:, 1] >= rho.dim_a).any() or (lohi[:, 3] >= rho.dim_b).any():
-        raise ValueError(f"sector indices exceed dims ({rho.dim_a}, {rho.dim_b})")
-    idx = (lohi[:, :2, None] * rho.dim_b + lohi[:, None, 2:]).reshape(-1, 4)
-    raw = rho.matrix[idx[:, :, None], idx[:, None, :]]
-    raw = (raw + raw.conj().transpose(0, 2, 1)) / 2
-    weights = np.trace(raw, axis1=1, axis2=2).real
-    return raw / np.where(weights < WEIGHT_FLOOR, 1.0, weights)[:, None, None], weights
+    if (lohi[:, 1] >= dims[0]).any() or (lohi[:, 3] >= dims[1]).any():
+        raise ValueError(f"sector indices exceed dims ({dims[0]}, {dims[1]})")
+    idx = (lohi[:, :2, None] * dims[1] + lohi[:, None, 2:]).reshape(-1, 4)
+    # A gather leaves the stack axis innermost in memory; in C order each
+    # state's products and sums run as they do for a stack of one.
+    if stack.ndim == 2:
+        v = np.ascontiguousarray(stack[:, idx])
+        raw = v[..., :, None] * v[..., None, :].conj()
+    else:
+        raw = np.ascontiguousarray(stack[:, idx[:, :, None], idx[:, None, :]])
+    raw = (raw + raw.conj().swapaxes(-1, -2)) / 2
+    weights = np.trace(raw, axis1=-2, axis2=-1).real
+    return raw / np.where(weights < WEIGHT_FLOOR, 1.0, weights)[..., None, None], weights
+
+
+def sector_concurrences(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Wootters concurrences of a (..., 4, 4) stack of sector states, in one batched call.
+
+    A sector with weight below WEIGHT_FLOOR holds no entanglement and scores 0.
+    """
+    live = weights >= WEIGHT_FLOOR
+    conc = np.zeros(weights.shape)
+    conc[live] = wootters_concurrences(states[live])
+    return conc
 
 
 _BELL2 = make_max_entangled(2)
@@ -130,8 +152,7 @@ def sector_report(
     for the reported rows only.
     """
     live = weights >= WEIGHT_FLOOR
-    conc = np.zeros(len(pairs))
-    conc[live] = wootters_concurrences(states[live])
+    conc = sector_concurrences(states, weights)
     chosen = range(len(pairs))
     if search:
         k = math.isqrt(len(pairs))
@@ -167,10 +188,12 @@ def _check_pairing(pairing: Pairing, d: int) -> None:
 
 
 def _sectors(source: Source, pairs: Sequence[tuple[IndexPair, IndexPair]]) -> tuple[np.ndarray, np.ndarray]:
-    """Sector states and weights: blocks of a state's density, or MLE estimates from a record."""
+    """Sector states and weights: blocks of a ket or density (a stack of one), or MLE estimates from a record."""
     if isinstance(source, TomographyRecord):
         return sector_estimates(source, pairs)
-    return sector_states(as_density(source), pairs)
+    stack = source.amplitudes if isinstance(source, BipartiteKet) else as_density(source).matrix
+    states, weights = sector_states(stack[None], (source.dim_a, source.dim_b), pairs)
+    return states[0], weights[0]
 
 
 def pconcurrence_known(source: Source, pairing: Pairing) -> WitnessReport:
@@ -286,16 +309,23 @@ MEASURES = {
 }
 
 
-def normalize_measure(raw: float, measure_name: str, d: int) -> float:
-    """Divide by the measure's maximum in d dimensions; clamp only roundoff-level overshoot."""
+def normalize_measure(raw: float | np.ndarray, measure_name: str, d: int) -> float | np.ndarray:
+    """Divide by the measure's maximum in d dimensions; clamp only roundoff-level overshoot.
+
+    raw is one value or an array of them, and the result has its shape.
+    """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     if measure_name not in MEASURES:
         raise ValueError(f"unknown measure {measure_name!r}")
-    x = raw / MEASURES[measure_name][1](d)
-    if x > 1.0 + OVERSHOOT_ATOL or x < -OVERSHOOT_ATOL:
-        raise ValueError(f"normalized {measure_name} = {x!r} overshoots [0, 1] beyond {OVERSHOOT_ATOL:.1e}")
-    return float(min(1.0, max(0.0, x)))
+    x = np.asarray(raw, dtype=float) / MEASURES[measure_name][1](d)
+    over = (x > 1.0 + OVERSHOOT_ATOL) | (x < -OVERSHOOT_ATOL)
+    if over.any():
+        raise ValueError(
+            f"normalized {measure_name} = {float(x[over][0])!r} overshoots [0, 1] beyond {OVERSHOOT_ATOL:.1e}"
+        )
+    x = np.fmin(1.0, np.fmax(0.0, x))
+    return float(x) if x.ndim == 0 else x
 
 
 def evaluate_measure(

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pconcurrence.cli import SWEEP_HEADER, main
+from pconcurrence.cli import SWEEP_HEADER, _fmt, main
+from pconcurrence.measures import eof_pure, i_concurrence
 from pconcurrence.states import (
     BipartiteKet,
     DensityMatrix,
@@ -18,7 +19,7 @@ from pconcurrence.states import (
     make_spdc_qutrit,
     save_state,
 )
-from pconcurrence.witness import pconcurrence_search, report_to_dict
+from pconcurrence.witness import identity_pairing, normalize_measure, pconcurrence_known, pconcurrence_search, report_to_dict
 from pconcurrence.tomography import load_record
 
 
@@ -134,6 +135,13 @@ def test_deeply_nested_json_is_an_error(tmp_path, max_qutrit_file, capsys, argv)
     assert main([a.format(deep=deep, record=record, out=out) for a in argv]) == 1
     assert capsys.readouterr() == ("", f"error: {deep} is nested too deeply to parse as JSON\n")
     assert not out.exists()
+
+
+def test_witness_unnormalized_ket_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "ket", "dimA": 2, "dimB": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}))
+    assert main(["witness", str(bad)]) == 1
+    assert capsys.readouterr() == ("", "error: ket is not normalized: sum |amp|^2 = 2.0\n")
 
 
 def test_witness_non_object_file_is_an_error(tmp_path, capsys):
@@ -580,6 +588,34 @@ def test_path_endpoints(tmp_path):
     assert all(abs(v - 1.0) < 1e-9 for v in last[2:])
     pvals = [r[2] for r in rows]
     assert all(pvals[i] <= pvals[i + 1] + 1e-12 for i in range(len(pvals) - 1))
+
+
+def grid_lines_one_point_at_a_time(n, path):
+    """The sweep or path CSV built point by point from the public single-state functions."""
+    steps = [i / n for i in range(n + 1)]
+    lines = [SWEEP_HEADER]
+    for a in steps:
+        for b in [1.0] if path else steps:
+            ket = make_spdc_qutrit(SpdcParams(a, b))
+            row = (
+                a,
+                b,
+                pconcurrence_known(ket, identity_pairing(3)).pconcurrence,
+                normalize_measure(eof_pure(ket), "eof", 3),
+                normalize_measure(i_concurrence(ket), "i_concurrence", 3),
+            )
+            lines.append(",".join(_fmt(v) for v in row))
+    return lines
+
+
+@pytest.mark.parametrize("command", ["sweep", "path"])
+@pytest.mark.parametrize("n", [*range(2, 13), 50])
+def test_stacked_grid_equals_rows_built_one_point_at_a_time(tmp_path, capsys, command, n):
+    out = tmp_path / "grid.csv"
+    assert main([command, "--grid-n", str(n), "--out", str(out)]) == 0
+    expected = grid_lines_one_point_at_a_time(n, command == "path")
+    assert capsys.readouterr().out == f"wrote {len(expected) - 1} rows to {out}\n"
+    assert out.read_text().splitlines() == expected
 
 
 def test_simulate_reconstruct_witness_pipeline(tmp_path, max_qutrit_file, capsys):

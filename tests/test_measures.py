@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pconcurrence.measures import (
+    eof_of_reduced,
     eof_pure,
     i_concurrence,
+    i_concurrence_of_reduced,
     ket_fidelity,
     purity,
+    reduced_a_of_kets,
     spectra,
     uhlmann_fidelity,
     wootters_concurrence,
@@ -144,6 +147,32 @@ def test_eof_of_random_product_kets_is_exactly_zero(d):
         assert eof_pure(ket) == 0.0
 
 
+def test_eof_keeps_a_schmidt_weight_below_1e_12():
+    # Schmidt weights 1 / (1 + 1e-12) and 1e-12 / (1 + 1e-12): the second is
+    # above the rank cut (1e-13 of the largest), so it enters the entropy.
+    ket = make_spdc_qutrit(SpdcParams(0.0, 1e-6))
+    weights = [1.0 / (1.0 + 1e-12), 1e-12 / (1.0 + 1e-12)]
+    entropy = -sum(p * math.log2(p) for p in weights)
+    assert abs(entropy - 4.1306e-11) < 1e-15
+    assert abs(eof_pure(ket) - entropy) <= 1e-6 * entropy
+
+
+def test_stack_kernels_equal_their_single_state_cases():
+    # Mixed ranks and d up to 8 in one stack: the entropy sums run per rank
+    # group, so every row equals its N = 1 value exactly.
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 5, 8):
+        kets = []
+        for rank in [1, 2, d, *rng.integers(1, d + 1, 6)]:
+            c = np.zeros((d, d), dtype=complex)
+            c[:rank, :rank] = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
+            c[rank - 1, rank - 1] *= 10.0 ** -rng.integers(0, 7)
+            kets.append(BipartiteKet(d, d, (c / np.linalg.norm(c)).ravel()))
+        rho_a = reduced_a_of_kets(np.array([k.amplitudes for k in kets]), d)
+        assert eof_of_reduced(rho_a).tolist() == [eof_pure(k) for k in kets]
+        assert i_concurrence_of_reduced(rho_a).tolist() == [i_concurrence(k) for k in kets]
+
+
 def test_eof_rejects_mixed():
     with pytest.raises(ValueError, match="pure"):
         eof_pure(werner(0.5))
@@ -209,7 +238,7 @@ def test_subspace_concurrence_monotone_along_beta_zero():
     last = -1.0
     for alpha in np.linspace(0.02, 1.0, 25):
         rho = density_from_ket(make_spdc_qutrit(SpdcParams(alpha, 0.0)))
-        sub = sector_states(rho, [(IndexPair(0, 1), IndexPair(0, 1))])[0]
+        sub = sector_states(rho.matrix[None], (3, 3), [(IndexPair(0, 1), IndexPair(0, 1))])[0][0]
         c = float(wootters_concurrences(sub)[0])
         assert abs(c - 2 * alpha / (1 + alpha**2)) < 1e-10
         assert c > last

@@ -10,6 +10,7 @@ from pconcurrence.states import (
     BipartiteKet,
     DensityMatrix,
     SpdcParams,
+    check_kets,
     density_from_ket,
     load_state,
     make_max_entangled,
@@ -17,6 +18,7 @@ from pconcurrence.states import (
     make_spdc_qutrit,
     partial_trace,
     save_state,
+    spdc_qutrit_amplitudes,
     state_from_dict,
     state_to_dict,
     validate_density,
@@ -54,6 +56,28 @@ def test_spdc_qutrit_rejects_out_of_range():
     for alpha, beta in [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 2.0)]:
         with pytest.raises(ValueError):
             make_spdc_qutrit(SpdcParams(alpha, beta))
+
+
+def test_stacked_ket_check_fails_like_the_single_ket_gate():
+    good = spdc_qutrit_amplitudes([0.2, 0.5, 0.9], [0.3, 0.1, 1.0])
+    for bad in (np.where(np.arange(9) == 4, np.nan, good[1]), 1.5 * good[1]):
+        with pytest.raises(ValueError) as single:
+            BipartiteKet(3, 3, bad)
+        stack = good.copy()
+        stack[1] = bad
+        with pytest.raises(ValueError) as stacked:
+            check_kets(stack)
+        assert str(stacked.value) == str(single.value)
+    assert str(single.value).startswith("ket is not normalized: sum |amp|^2 = ")
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.5, 0.5), (-0.25, 0.5), (math.nan, 0.5), (0.5, 2.0), (0.5, -1e-9)])
+def test_stacked_builder_range_fails_like_spdc_params(alpha, beta):
+    with pytest.raises(ValueError) as single:
+        SpdcParams(alpha, beta)
+    with pytest.raises(ValueError) as stacked:
+        spdc_qutrit_amplitudes([0.0, alpha, 1.0], [0.0, beta, 1.0])
+    assert str(stacked.value) == str(single.value)
 
 
 @settings(max_examples=200, deadline=None)

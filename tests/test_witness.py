@@ -86,8 +86,8 @@ def test_index_pair_ordering_enforced():
 
 def one_sector(rho, a, b):
     """sector_states of the single sector (a, b): its 4 x 4 state and its weight."""
-    states, weights = sector_states(rho, [(a, b)])
-    return states[0], float(weights[0])
+    states, weights = sector_states(rho.matrix[None], (rho.dim_a, rho.dim_b), [(a, b)])
+    return states[0, 0], float(weights[0, 0])
 
 
 def concurrence(m):
@@ -343,6 +343,41 @@ def test_dimension_witness_iff(alpha, beta):
         assert report.pconcurrence > 0.0
 
 
+def test_a_nonzero_product_certifies_no_dimension_beyond_schmidt_form():
+    # rho = (Phi01 + Phi02 + Phi12) / 3, Phi_ij the projector onto
+    # (|ii> + |jj>) / sqrt(2): a mixture of Schmidt-rank-2 kets, so its
+    # Schmidt number is at most 2, yet every known sector has concurrence 1/2.
+    kets = []
+    for i, j in itertools.combinations(range(3), 2):
+        c = np.zeros((3, 3))
+        c[i, i] = c[j, j] = 1 / math.sqrt(2)
+        assert np.linalg.matrix_rank(c) == 2
+        kets.append(c.ravel())
+    rho = validate_density(sum(np.outer(k, k) for k in kets) / 3, (3, 3))
+    assert abs(pconcurrence_known(rho, identity_pairing(3)).pconcurrence - 0.125) < 1e-12
+    assert abs(pconcurrence_search(rho).pconcurrence - 0.125) < 1e-12
+    # Nor is a pure state outside Schmidt form on matched indices certified:
+    # this Schmidt-rank-2 qutrit has every paired 2 x 2 minor nonzero.
+    c = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
+    assert np.linalg.matrix_rank(c) == 2
+    ket = BipartiteKet(3, 3, (c / np.linalg.norm(c)).ravel())
+    assert pconcurrence_known(ket, identity_pairing(3)).pconcurrence > 0.08
+
+
+def test_ket_sector_blocks_equal_the_projector_blocks_exactly():
+    rng = np.random.default_rng(23)
+    for d in range(2, 9):
+        kets = np.array([random_ket(rng, d).amplitudes for _ in range(4)])
+        pairs = sector_pairs(d)
+        from_kets = sector_states(kets, (d, d), pairs)
+        from_densities = sector_states(kets[:, :, None] * kets[:, None, :].conj(), (d, d), pairs)
+        for got, want in zip(from_kets, from_densities):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        for ket, states, weights in zip(kets, *from_kets):
+            single = sector_states(density_from_ket(BipartiteKet(d, d, ket)).matrix[None], (d, d), pairs)
+            assert np.array_equal(states, single[0][0]) and np.array_equal(weights, single[1][0])
+
+
 def test_report_json_shape():
     report = pconcurrence_known(qutrit_density(0.5, 0.5), identity_pairing(3))
     obj = report_to_dict(report)
@@ -409,7 +444,8 @@ def test_search_table_equals_single_sector_results_exactly():
         for rank in (1, 2, 3, d * d):
             rho = random_density(rng, d, rank, sparse=d >= 4 and rank <= 3)
             pairs = sector_pairs(d)
-            table = {(r.a, r.b): r for r in sector_report(pairs, *sector_states(rho, pairs)).subspace_rows}
+            (states,), (weights,) = sector_states(rho.matrix[None], (d, d), pairs)
+            table = {(r.a, r.b): r for r in sector_report(pairs, states, weights).subspace_rows}
             assert len(table) == len(pairs)
             for (a, b), row in table.items():
                 ref = reference_sector(rho, a, b)
