@@ -9,6 +9,7 @@ seed), so re-runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -198,6 +199,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pconc",
@@ -211,17 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize-dim", type=int, default=None, dest="normalize_dim")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("sweep", help="alpha-beta grid of the qutrit family measures (CSV)")
     p.add_argument("--grid-n", type=int, required=True, dest="grid_n")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("path", help="alpha path at beta = 1 (CSV)")
     p.add_argument("--grid-n", type=int, required=True, dest="grid_n")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("simulate", help="simulate coincidence counts for a state")
     p.add_argument("state_file")
@@ -230,27 +229,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-s", type=float, default=10.0, dest="time_s")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="fit a density matrix to a tomography record")
     p.add_argument("record_file")
     p.add_argument("--method", choices=("linear", "mle"), default="mle")
     p.add_argument("--target", default=None, help="state file to report fidelity against")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("witness", help="per-subspace concurrence table and product")
     p.add_argument("input_file", help="state file, or tomography record for the full pipeline")
     p.add_argument("--pairing", choices=("known", "search"), default="known")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("budget", help="measurement budget: subspace route vs full QST")
     p.add_argument("d", type=int)
     p.add_argument("--time-s", type=float, default=10.0, dest="time_s")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_budget)
 
     return parser
 
@@ -258,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up at call time, so a cmd_* rebound after the parser was built still runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,6 +34,7 @@ from .states import (
     parse_dim,
     parse_field,
     read_json,
+    require_field,
     validate_density,
 )
 
@@ -41,6 +42,11 @@ PROB_FLOOR = 1e-15
 # numpy's largest Poisson mean (POISSON_LAM_MAX of numpy.random); a larger one raises "lam value too large".
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 SUPPORT_ATOL = 1e-12
+
+
+def _off_norm(kets: np.ndarray) -> np.ndarray:
+    """Which rows of an (m, d) ket stack miss unit norm by more than KET_NORM_ATOL; a NaN row misses too."""
+    return ~(np.abs(np.einsum("ji,ji->j", kets.conj(), kets).real - 1.0) <= KET_NORM_ATOL)
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,7 @@ class Settings:
     labels_b: np.ndarray | None = None
 
     def __post_init__(self):
-        m, norms = len(self.kets_a), []
+        m = len(self.kets_a)
         for arm in "ab":
             kets = np.asarray(getattr(self, f"kets_{arm}"), dtype=complex)
             labels = getattr(self, f"labels_{arm}")
@@ -67,8 +73,7 @@ class Settings:
                 raise ValueError(f"settings need {m} kets and {m} labels per arm, one row each")
             object.__setattr__(self, f"kets_{arm}", kets)
             object.__setattr__(self, f"labels_{arm}", labels)
-            norms.append(np.einsum("ji,ji->j", kets.conj(), kets).real)
-        bad = ~(np.abs(np.column_stack(norms) - 1.0) <= KET_NORM_ATOL)  # (m, 2); NaN fails too
+        bad = np.column_stack([_off_norm(self.kets_a), _off_norm(self.kets_b)])  # (m, 2)
         if bad.any():
             j, arm = np.argwhere(bad)[0]  # row-major: the first bad row, arm a before arm b
             raise ValueError(f"settings[{j}].{'ab'[arm]} is not normalized")
@@ -742,32 +747,28 @@ def budget(d: int, integration_time_s: float = 10.0) -> Budget:
 # --- record file format -----------------------------------------------------
 
 
-def _record_head(record: TomographyRecord) -> dict:
+def record_to_dict(record: TomographyRecord) -> dict:
+    """The record file's object: each arm's distinct (ket, label) entries once, each setting an index pair into them.
+
+    Entries are in order of first appearance. Kets match by their bytes, so
+    kets that differ only in the sign of a zero, which json writes differently, stay apart.
+    """
+    arms, rows = {}, []
+    for arm in "ab":
+        kets, labels = getattr(record.settings, f"kets_{arm}"), getattr(record.settings, f"labels_{arm}").tolist()
+        index = {}  # (distinct ket number, label) -> entry number
+        rows.append([index.setdefault(key, len(index)) for key in zip(_row_index(kets, {}).tolist(), labels)])
+        first = np.unique(rows[-1], return_index=True)[1]
+        arms[arm] = [{"ket": ket, "label": labels[j]} for ket, j in zip(complex_pairs(kets[first]), first)]
     return {
         "dimA": record.dim_a,
         "dimB": record.dim_b,
         "rate_hz": float(record.rate_hz),
         "integration_time_s": float(record.integration_time_s),
         "seed": record.seed,
-    }
-
-
-def _count_values(record: TomographyRecord) -> list[int | float]:
-    return [
-        int(c) if float(c).is_integer() else float(c)  # Poisson draws are integral
-        for c in record.counts
-    ]
-
-
-def record_to_dict(record: TomographyRecord) -> dict:
-    s = record.settings
-    return {
-        **_record_head(record),
-        "settings": [
-            {"a": a, "b": b, "label_a": la, "label_b": lb}
-            for a, b, la, lb in zip(complex_pairs(s.kets_a), complex_pairs(s.kets_b), s.labels_a, s.labels_b)
-        ],
-        "counts": _count_values(record),
+        "arms": arms,
+        "settings": [[ia, ib] for ia, ib in zip(*rows)],
+        "counts": [int(c) if c.is_integer() else c for c in record.counts.tolist()],  # Poisson draws are integral
     }
 
 
@@ -785,78 +786,78 @@ def _json_counts(value) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
-def record_from_dict(obj: dict) -> TomographyRecord:
-    if not isinstance(obj, dict):
-        raise ValueError(f"a record must be a JSON object, got a {type(obj).__name__}")
-    if not isinstance(obj.get("settings"), list):
+def _arms_from_settings(obj: dict) -> dict:
+    """A record in the per-setting layout, each setting {"a", "b", "label_a", "label_b"}, as arm tables.
+
+    Setting i becomes entry i of both arms, with index pair [i, i].
+    """
+    settings = obj.get("settings")
+    if not isinstance(settings, list):
         raise ValueError("field 'settings' must be a list of setting objects")
-    dim_a, dim_b = parse_dim(obj, "dimA"), parse_dim(obj, "dimB")
-    kets_a, kets_b, labels_a, labels_b = [], [], [], []
-    for i, s in enumerate(obj["settings"]):
+    for i, s in enumerate(settings):
         if not isinstance(s, dict):
             raise ValueError(f"settings[{i}] must be an object with kets 'a' and 'b'")
-        try:
-            a, b = s["a"], s["b"]
-        except KeyError as exc:
-            raise ValueError(f"settings[{i}] has no ket {exc.args[0]!r}") from None
-        label_a, label_b = s.get("label_a", ""), s.get("label_b", "")
-        if not (isinstance(label_a, str) and isinstance(label_b, str)):
+        for arm in "ab":
+            if arm not in s:
+                raise ValueError(f"settings[{i}] has no ket {arm!r}")
+        if not (isinstance(s.get("label_a", ""), str) and isinstance(s.get("label_b", ""), str)):
             raise ValueError(f"settings[{i}] labels must be strings")
-        kets_a.append(parse_complex_list(a, f"settings[{i}].a", dim_a, "dimA"))
-        kets_b.append(parse_complex_list(b, f"settings[{i}].b", dim_b, "dimB"))
-        labels_a.append(label_a)
-        labels_b.append(label_b)
+    arms = {arm: [{"ket": s[arm], "label": s.get(f"label_{arm}", "")} for s in settings] for arm in "ab"}
+    return {**obj, "arms": arms, "settings": [[i, i] for i in range(len(settings))]}
+
+
+def _arm_table(entries, arm: str, n: int, n_name: str, field: str) -> tuple[np.ndarray, np.ndarray]:
+    """An arm's kets (k, n), each of n entries and unit norm, and their k labels; field.format(arm=, i=) names ket i."""
+    if not isinstance(entries, list):
+        raise ValueError(f"field 'arms.{arm}' must be a list of {{ket, label}} objects")
+    for i, e in enumerate(entries):
+        if not (isinstance(e, dict) and "ket" in e):
+            raise ValueError(f"arms.{arm}[{i}] must be an object with a 'ket'")
+        if not isinstance(e.get("label"), str):
+            raise ValueError(f"arms.{arm}[{i}].label must be a string")
+    kets = [parse_complex_list(e["ket"], field.format(arm=arm, i=i), n, n_name) for i, e in enumerate(entries)]
+    kets = np.array(kets, dtype=complex).reshape(-1, n)
+    bad = np.flatnonzero(_off_norm(kets))
+    if len(bad):
+        raise ValueError(f"{field.format(arm=arm, i=bad[0])} is not normalized")
+    return kets, np.array([e["label"] for e in entries], dtype=object)
+
+
+def _index_pairs(value, ka: int, kb: int) -> np.ndarray:
+    """The settings' [ia, ib] pairs as an (m, 2) array; an error names the first that is not two JSON integers in range."""
+    if not isinstance(value, list):
+        raise ValueError("field 'settings' must be a list of [ia, ib] index pairs")
+    for i, p in enumerate(value):
+        if not (type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+                and 0 <= p[0] < ka and 0 <= p[1] < kb):
+            raise ValueError(f"settings[{i}] must be [ia, ib] with 0 <= ia < {ka} and 0 <= ib < {kb}, got {p!r:.60}")
+    return np.array(value, dtype=np.intp).reshape(-1, 2)
+
+
+def record_from_dict(obj: dict) -> TomographyRecord:
+    """A record from the object of its file, in the arm-table layout or the older per-setting one."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a record must be a JSON object, got a {type(obj).__name__}")
+    field = "arms.{arm}[{i}].ket"
+    if "arms" not in obj:
+        obj, field = _arms_from_settings(obj), "settings[{i}].{arm}"
+    if not isinstance(obj["arms"], dict):
+        raise ValueError("field 'arms' must be an object with arm lists 'a' and 'b'")
+    kets_a, labels_a = _arm_table(obj["arms"].get("a"), "a", parse_dim(obj, "dimA"), "dimA", field)
+    kets_b, labels_b = _arm_table(obj["arms"].get("b"), "b", parse_dim(obj, "dimB"), "dimB", field)
+    ia, ib = _index_pairs(require_field(obj, "settings"), len(kets_a), len(kets_b)).T
     return TomographyRecord(
         rate_hz=parse_field(obj, "rate_hz", _json_number),
         integration_time_s=parse_field(obj, "integration_time_s", _json_number),
-        settings=Settings(
-            np.array(kets_a, dtype=complex).reshape(-1, dim_a),
-            np.array(kets_b, dtype=complex).reshape(-1, dim_b),
-            labels_a,
-            labels_b,
-        ),
+        settings=Settings(kets_a[ia], kets_b[ib], labels_a[ia], labels_b[ib]),
         counts=parse_field(obj, "counts", _json_counts),
         seed=obj.get("seed"),
     )
 
 
-def _nested_json(value, level: int) -> str:
-    """json.dumps(value, indent=2) as it reads `level` levels deep in an indented document."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
-
-
 def save_record(path: str | Path, record: TomographyRecord) -> None:
-    """Write the bytes of json.dumps(record_to_dict(record), indent=2) + "\n".
-
-    json encodes indented output in pure Python, and a record repeats each
-    arm ket across many settings (45 distinct kets per arm in the 2025
-    settings of a d = 5 pairwise record). So each distinct ket and label is
-    encoded once, at the depth of a setting field, and the settings are
-    assembled from those fragments around the indented layout below. The
-    counts, a flat list of numbers, go through json's fast unindented
-    encoder and are then laid out one per line.
-    """
-    table, index = record.settings, {}
-    rows_a, rows_b = _row_index(table.kets_a, index), _row_index(table.kets_b, index)
-    texts = [_nested_json(complex_pairs(np.frombuffer(key, dtype=complex)), 3) for key in index]
-    labels = {x: _nested_json(x, 3) for x in {*table.labels_a, *table.labels_b}}
-    settings = [
-        '{\n      "a": ' + texts[a]
-        + ',\n      "b": ' + texts[b]
-        + ',\n      "label_a": ' + labels[la]
-        + ',\n      "label_b": ' + labels[lb]
-        + "\n    }"
-        for a, b, la, lb in zip(rows_a.tolist(), rows_b.tolist(), table.labels_a, table.labels_b)
-    ]
-    text = (
-        json.dumps(_record_head(record), indent=2)[: -len("\n}")]
-        + ',\n  "settings": [\n    '
-        + ",\n    ".join(settings)
-        + '\n  ],\n  "counts": [\n    '
-        + json.dumps(_count_values(record))[1:-1].replace(", ", ",\n    ")  # no number holds ", "
-        + "\n  ]\n}\n"
-    )
-    Path(path).write_text(text, encoding="utf-8")
+    """Write json.dumps(record_to_dict(record)) and a newline."""
+    Path(path).write_text(json.dumps(record_to_dict(record)) + "\n", encoding="utf-8")
 
 
 def load_record(path: str | Path) -> TomographyRecord:

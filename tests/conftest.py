@@ -40,3 +40,18 @@ def noiseless_record(state, settings, rate_hz=1e4, time_s=1.0):
 @pytest.fixture()
 def enumerated_search():
     return _enumerated_search
+
+
+def per_setting_dict(obj):
+    """A record object in the per-setting layout that records were written in before the arm tables.
+
+    Each setting spells out both kets and both labels; json.dumps(..., indent=2)
+    plus a newline of the result is that older writer's file, byte for byte.
+    """
+    arms = obj["arms"]
+    settings = [
+        {"a": arms["a"][ia]["ket"], "b": arms["b"][ib]["ket"], "label_a": arms["a"][ia]["label"], "label_b": arms["b"][ib]["label"]}
+        for ia, ib in obj["settings"]
+    ]
+    head = {k: v for k, v in obj.items() if k not in ("arms", "settings", "counts")}
+    return {**head, "settings": settings, "counts": obj["counts"]}

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import per_setting_dict
 from pconcurrence.cli import SWEEP_HEADER, _fmt, main
 from pconcurrence.measures import eof_pure, i_concurrence
 from pconcurrence.states import (
@@ -20,7 +21,7 @@ from pconcurrence.states import (
     save_state,
 )
 from pconcurrence.witness import identity_pairing, normalize_measure, pconcurrence_known, pconcurrence_search, report_to_dict
-from pconcurrence.tomography import load_record
+from pconcurrence.tomography import load_record, save_record
 
 
 @pytest.fixture()
@@ -154,7 +155,7 @@ def test_witness_non_object_file_is_an_error(tmp_path, capsys):
 def test_witness_malformed_record_setting_is_an_error(tmp_path, max_qutrit_file, capsys):
     record = tmp_path / "record.json"
     assert main(["simulate", max_qutrit_file, "--time-s", "1", "--out", str(record)]) == 0
-    obj = json.loads(record.read_text())
+    obj = per_setting_dict(json.loads(record.read_text()))
     obj["settings"][3]["a"] = 5
     record.write_text(json.dumps(obj))
     capsys.readouterr()
@@ -162,24 +163,58 @@ def test_witness_malformed_record_setting_is_an_error(tmp_path, max_qutrit_file,
     assert capsys.readouterr().err == "error: settings[3].a must be a list of [re, im] pairs\n"
 
 
+def _per_setting(obj):
+    """The settings of obj after turning it, in place, into the per-setting layout."""
+    old = per_setting_dict(obj)
+    obj.clear()
+    obj.update(old)
+    return obj["settings"]
+
+
 def _drop_ket_a(obj):
-    del obj["settings"][3]["a"]
+    del _per_setting(obj)[3]["a"]
 
 
 def _short_ket_a(obj):
-    obj["settings"][3]["a"] = [[1.0, 0.0], [0.0, 0.0]]
+    _per_setting(obj)[3]["a"] = [[1.0, 0.0], [0.0, 0.0]]
 
 
 def _unnormalized_ket_a(obj):
-    obj["settings"][3]["a"] = [[2, 0], [0, 0], [0, 0]]
+    _per_setting(obj)[3]["a"] = [[2, 0], [0, 0], [0, 0]]
 
 
 def _boolean_ket_a(obj):
-    obj["settings"][3]["a"] = [[True, False], [0, 0], [0, 0]]  # the ket it replaces, as booleans
+    _per_setting(obj)[3]["a"] = [[True, False], [0, 0], [0, 0]]  # the ket it replaces, as booleans
 
 
 def _ragged_ket_b(obj):
-    obj["settings"][3]["b"].append([0.0, 0.0])
+    _per_setting(obj)[3]["b"].append([0.0, 0.0])
+
+
+# Arm-table edits of the same d = 3 pairwise record: 15 kets per arm, and
+# settings[5] = [0, 5].
+def _index_pair(value):
+    def edit(obj):
+        obj["settings"][5] = value
+
+    edit.__name__ = f"_settings_5_{value}"
+    return edit
+
+
+def _drop_arm_b(obj):
+    del obj["arms"]["b"]
+
+
+def _short_arm_ket_a(obj):
+    obj["arms"]["a"][3]["ket"] = [[1.0, 0.0], [0.0, 0.0]]
+
+
+def _number_label_b(obj):
+    obj["arms"]["b"][2]["label"] = 7
+
+
+def _unused_unnormalized_arm_ket(obj):
+    obj["arms"]["a"].append({"ket": [[2, 0], [0, 0], [0, 0]], "label": "unused"})
 
 
 def _no_settings(obj):
@@ -266,6 +301,16 @@ def _drop(key):
         # The message shows the first 60 characters of the edited counts of the seed-0 record.
         (_boolean_count, "field 'counts' is malformed: [True, 0, 0, 161, 172, 157, 149, 159, 180, 167, 185, 0, 0, 0"),
         (_string_count, "field 'counts' is malformed: [371, '7', 0, 161, 172, 157, 149, 159, 180, 167, 185, 0, 0, "),
+        (_index_pair([0, 15]), "settings[5] must be [ia, ib] with 0 <= ia < 15 and 0 <= ib < 15, got [0, 15]"),
+        (_index_pair([-1, 5]), "settings[5] must be [ia, ib] with 0 <= ia < 15 and 0 <= ib < 15, got [-1, 5]"),
+        (_index_pair([False, 5]), "settings[5] must be [ia, ib] with 0 <= ia < 15 and 0 <= ib < 15, got [False, 5]"),
+        (_index_pair([0, 5.0]), "settings[5] must be [ia, ib] with 0 <= ia < 15 and 0 <= ib < 15, got [0, 5.0]"),
+        (_index_pair([0, 5, 5]), "settings[5] must be [ia, ib] with 0 <= ia < 15 and 0 <= ib < 15, got [0, 5, 5]"),
+        (_drop_arm_b, "field 'arms.b' must be a list of {ket, label} objects"),
+        (_set("arms", []), "field 'arms' must be an object with arm lists 'a' and 'b'"),
+        (_short_arm_ket_a, "arms.a[3].ket has 2 entries, expected dimA = 3"),
+        (_number_label_b, "arms.b[2].label must be a string"),
+        (_unused_unnormalized_arm_ket, "arms.a[15].ket is not normalized"),
     ],
 )
 @pytest.mark.parametrize("command", ["witness", "reconstruct"])
@@ -679,6 +724,18 @@ def test_simulate_deterministic(tmp_path, qutrit_file):
 # SHA-256 of `simulate --time-s 1 --seed 7` records of make_spdc_qudit(d, 1.5),
 # at the default 1000 Hz; qubit36 is pairwise at d = 2.
 RECORD_DIGESTS = {
+    ("pairwise", 2): "9e3179204e89f218fbe933c3435492fb2006230f4a1af8191298cb224736ae38",
+    ("pairwise", 3): "f7c587fe1a0e284c60844ad9bbef4297e98923ebfb1f0526198146684ff6a98f",
+    ("pairwise", 4): "ce14eded2cbfb92d91dcc64a906f2f529e8c0c3ce2813833b1e481e2d5bbdcf0",
+    ("pairwise", 5): "6f41407dbd9fa3d9e74bf01a2710974e9610075cb6c5bb29bae63168628e3c36",
+    ("mub", 2): "8c9b4788879d6af94e300374de2f5f343bed1ee7aadb2b89eb8baeefe670a69d",
+    ("mub", 3): "07ebdb2dc18f193a11398defd7a1ed675134561ed679fa87d8196b3fbaff0a46",
+    ("mub", 5): "ad32355a4a84f76091453d054fbf425899814b355cd9742698cd0c0114d2fb8b",
+    ("qubit36", 2): "9e3179204e89f218fbe933c3435492fb2006230f4a1af8191298cb224736ae38",
+}
+# SHA-256 of the same records in the per-setting layout, as the writer before
+# the arm tables wrote them (json.dumps(..., indent=2) and a newline).
+PER_SETTING_DIGESTS = {
     ("pairwise", 2): "a9c1a55cccad7b339f77488fe8021f9a9e80f9284089d6fe9dc6ae34254eed00",
     ("pairwise", 3): "f8e3c2216a6578c6db3d9c446b247507c9cf73c2f87681899da30621d6e3d0f5",
     ("pairwise", 4): "4886f4dfeee29763eb00f1d0a411a4cf92dee180f6f984d33e3349a5be6b79c3",
@@ -690,13 +747,40 @@ RECORD_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("family, d", list(RECORD_DIGESTS))
-def test_simulate_record_bytes_are_pinned(tmp_path, family, d):
+def _simulate_pinned(tmp_path, family, d):
     state, record = tmp_path / "state.json", tmp_path / "record.json"
     save_state(state, make_spdc_qudit(d, 1.5))
     argv = ["simulate", str(state), "--settings", family, "--time-s", "1", "--seed", "7", "--out", str(record)]
     assert main(argv) == 0
+    return record
+
+
+@pytest.mark.parametrize("family, d", list(RECORD_DIGESTS))
+def test_simulate_record_bytes_are_pinned(tmp_path, family, d):
+    record = _simulate_pinned(tmp_path, family, d)
     assert hashlib.sha256(record.read_bytes()).hexdigest() == RECORD_DIGESTS[family, d]
+
+
+@pytest.mark.parametrize("family, d", list(PER_SETTING_DIGESTS))
+def test_per_setting_record_gives_the_same_outputs(tmp_path, capsys, family, d):
+    # Same exit code, stdout, stderr and --out bytes; on mub records at d = 3 and 5
+    # witness fails alike, since too few settings restrict to a 2 x 2 sector.
+    record = _simulate_pinned(tmp_path, family, d)
+    old = tmp_path / "per_setting.json"
+    old.write_text(json.dumps(per_setting_dict(json.loads(record.read_text())), indent=2) + "\n")
+    assert hashlib.sha256(old.read_bytes()).hexdigest() == PER_SETTING_DIGESTS[family, d]
+    rewritten = tmp_path / "rewritten.json"
+    save_record(rewritten, load_record(old))
+    assert rewritten.read_bytes() == record.read_bytes()
+    capsys.readouterr()
+    for command in (["witness"], ["witness", "--pairing", "search"],
+                    ["reconstruct", "--method", "linear"], ["reconstruct", "--method", "mle"]):
+        outputs, out = [], tmp_path / "out.json"
+        for path in (old, record):
+            out.unlink(missing_ok=True)
+            code = main([command[0], str(path), *command[1:], "--out", str(out)])
+            outputs.append((code, capsys.readouterr(), out.exists() and out.read_bytes()))
+        assert outputs[0] == outputs[1], command
 
 
 @pytest.mark.parametrize(

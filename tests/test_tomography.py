@@ -694,7 +694,7 @@ def test_record_json_round_trip():
     rho = density_from_ket(BELL)
     record = simulate_counts(rho, bell_settings(), 1e3, 10.0, seed=7)
     obj = json.loads(json.dumps(record_to_dict(record)))
-    assert set(obj) == {"dimA", "dimB", "rate_hz", "integration_time_s", "seed", "settings", "counts"}
+    assert set(obj) == {"dimA", "dimB", "rate_hz", "integration_time_s", "seed", "arms", "settings", "counts"}
     assert all(isinstance(c, int) for c in obj["counts"])
     back = record_from_dict(obj)
     assert np.array_equal(back.counts, record.counts)
@@ -704,7 +704,7 @@ def test_record_json_round_trip():
     assert list(back.settings.labels_a) == list(record.settings.labels_a)
 
 
-def test_save_record_writes_the_indented_json_dump(tmp_path):
+def test_save_record_writes_the_json_dump(tmp_path):
     for name, d, settings in setting_sets():
         rho = random_density(d, 2, d)
         drawn = simulate_counts(rho, settings, 1e3, 10.0, seed=3)
@@ -712,7 +712,29 @@ def test_save_record_writes_the_indented_json_dump(tmp_path):
                        record_from_dict(json.loads(json.dumps(record_to_dict(drawn))))):
             path = tmp_path / f"{name}.json"
             save_record(path, record)
-            assert path.read_bytes() == (json.dumps(record_to_dict(record), indent=2) + "\n").encode(), name
+            assert path.read_bytes() == (json.dumps(record_to_dict(record)) + "\n").encode(), name
+
+
+def test_record_arm_entries_keep_labels_and_signed_zeros(tmp_path):
+    # One arm-A ket under two labels, and one that differs from it only in the sign of a zero.
+    e0, e1 = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
+    e0_signed = np.array([1, complex(-0.0, 0.0)])
+    kets_a = np.array([e0, e0_signed, e0, e1, e0])
+    labels_a = ["H", "H", "x", "V", "H"]
+    settings = Settings(kets_a, np.array([e0, e0, e1, e1, e1]), labels_a, ["H"] * 5)
+    record = TomographyRecord(1e3, 1.0, settings, np.array([1, 2, 3, 4, 5.5]), seed=2)
+    obj = record_to_dict(record)
+    assert [entry["label"] for entry in obj["arms"]["a"]] == ["H", "H", "x", "V"]
+    assert [entry["label"] for entry in obj["arms"]["b"]] == ["H", "H"]
+    assert obj["settings"] == [[0, 0], [1, 0], [2, 1], [3, 1], [0, 1]]
+    path = tmp_path / "record.json"
+    save_record(path, record)
+    back = tomography.load_record(path)
+    for arm in "ab":
+        assert getattr(back.settings, f"kets_{arm}").tobytes() == getattr(settings, f"kets_{arm}").tobytes()
+        assert list(getattr(back.settings, f"labels_{arm}")) == list(getattr(settings, f"labels_{arm}"))
+    assert back.counts.tobytes() == record.counts.tobytes()
+    assert (back.rate_hz, back.integration_time_s, back.seed) == (1e3, 1.0, 2)
 
 
 def test_record_validation():
@@ -730,7 +752,7 @@ def test_record_validation():
         with pytest.raises(ValueError, match="seed must be an integer >= 0 or null"):
             TomographyRecord(1e3, 10.0, settings, np.ones(36), seed=seed)
     obj = record_to_dict(TomographyRecord(1e3, 10.0, settings, np.ones(36)))
-    with pytest.raises(ValueError, match=r"settings\[0\].a has 2 entries, expected dimA = 3"):
+    with pytest.raises(ValueError, match=r"arms.a\[0\].ket has 2 entries, expected dimA = 3"):
         record_from_dict({**obj, "dimA": 3})
     with pytest.raises(ValueError, match=r"settings\[0\].a is not normalized"):
         Settings(np.array([[np.nan, 0.0]]), np.array([[1.0, 0.0]]))
