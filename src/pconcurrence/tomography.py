@@ -51,39 +51,62 @@ def _off_norm(kets: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Settings:
-    """Joint rank-1 projective measurements, one row per setting.
+    """Joint rank-1 projective measurements: one ket table per arm and one index pair per setting.
 
-    Row j measures |kets_a[j]> on arm A and |kets_b[j]> on arm B; kets_a is
-    (m, dA), kets_b is (m, dB) and the labels are (m,) strings. Every ket is
-    checked for unit norm here, once for the whole table.
+    Setting j measures |kets_a[pairs[j, 0]]> x |kets_b[pairs[j, 1]]>: kets_a is (ka, dA), kets_b (kb, dB),
+    each with a label string per row, and pairs (m, 2); without pairs, row j of both tables is setting j.
+    The tables keep their distinct (ket bytes, label) entries in use, in order of first use, so equal
+    settings hold equal tables and pairs. Every table ket is checked for unit norm here, once.
     """
 
     kets_a: np.ndarray
     kets_b: np.ndarray
     labels_a: np.ndarray | None = None
     labels_b: np.ndarray | None = None
+    pairs: np.ndarray | None = None
 
     def __post_init__(self):
         m = len(self.kets_a)
+        pairs = np.repeat(np.arange(m), 2).reshape(m, 2) if self.pairs is None else np.asarray(self.pairs)
+        tables = []
         for arm in "ab":
             kets = np.asarray(getattr(self, f"kets_{arm}"), dtype=complex)
+            k = m if self.pairs is None else len(kets)
             labels = getattr(self, f"labels_{arm}")
-            labels = np.asarray([""] * m if labels is None else labels, dtype=object)
-            if kets.ndim != 2 or len(kets) != m or labels.shape != (m,):
-                raise ValueError(f"settings need {m} kets and {m} labels per arm, one row each")
-            object.__setattr__(self, f"kets_{arm}", kets)
-            object.__setattr__(self, f"labels_{arm}", labels)
-        bad = np.column_stack([_off_norm(self.kets_a), _off_norm(self.kets_b)])  # (m, 2)
-        if bad.any():
-            j, arm = np.argwhere(bad)[0]  # row-major: the first bad row, arm a before arm b
+            labels = np.asarray([""] * k if labels is None else labels, dtype=object)
+            if kets.ndim != 2 or len(kets) != k or labels.shape != (k,):
+                raise ValueError(f"settings need {k} kets and {k} labels on arm {arm}, one row each")
+            tables.append((kets, labels))
+        sizes = [len(kets) for kets, _ in tables]
+        outside = ((pairs < 0) | (pairs >= sizes)).any(axis=1)  # numpy would wrap a negative index
+        if outside.any():
+            j = np.flatnonzero(outside)[0]
+            raise ValueError(f"settings[{j}] = {pairs[j].tolist()} is outside arm tables of {sizes[0]} and {sizes[1]} kets")
+        pairs = pairs.astype(np.intp, casting="safe")  # a float index is refused, not truncated
+        for used, arm, (kets, labels) in zip(pairs.T, "ab", tables):
+            # The distinct (ket bytes, label) entries in use, in order of first use; 0.0 and -0.0 differ, as in json.
+            rows = list(dict.fromkeys(used.tolist()))
+            kets_bytes = np.ascontiguousarray(kets[rows]).view(f"V{kets.shape[1] * kets.itemsize}").ravel().tolist()
+            first = {}  # (ket bytes, label) -> the first row in use that holds it
+            holders = [first.setdefault(key, row) for key, row in zip(zip(kets_bytes, labels[rows].tolist()), rows)]
+            entries = {row: n for n, row in enumerate(first.values())}  # the first row of each entry -> its number
+            renumber = np.empty(len(kets), dtype=np.intp)
+            renumber[rows] = [entries[row] for row in holders]
+            used[:] = renumber[used]
+            object.__setattr__(self, f"kets_{arm}", kets[list(entries)])
+            object.__setattr__(self, f"labels_{arm}", labels[list(entries)])
+        object.__setattr__(self, "pairs", pairs)
+        bad_a, bad_b = _off_norm(self.kets_a), _off_norm(self.kets_b)
+        if bad_a.any() or bad_b.any():
+            j, arm = np.argwhere(np.column_stack([bad_a[pairs[:, 0]], bad_b[pairs[:, 1]]]))[0]  # arm a before arm b
             raise ValueError(f"settings[{j}].{'ab'[arm]} is not normalized")
 
     def __len__(self) -> int:
-        return len(self.kets_a)
+        return len(self.pairs)
 
     def joint_kets(self) -> np.ndarray:
-        """Row j is kron(kets_a[j], kets_b[j]), as one broadcast product."""
-        return (self.kets_a[:, :, None] * self.kets_b[:, None, :]).reshape(len(self), -1)
+        """Row j is the kron of setting j's two kets, as one broadcast product."""
+        return (self.kets_a[self.pairs[:, 0], :, None] * self.kets_b[self.pairs[:, 1], None, :]).reshape(len(self), -1)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -223,14 +246,9 @@ def joint_settings(
     labels_a: list[str] | None = None,
     labels_b: list[str] | None = None,
 ) -> Settings:
-    """Cartesian product of per-arm kets, arm-A major order."""
-    na, nb = len(kets_a), len(kets_b)
-    return Settings(
-        np.repeat(np.asarray(kets_a, dtype=complex), nb, axis=0),
-        np.tile(np.asarray(kets_b, dtype=complex), (na, 1)),
-        np.repeat(labels_a or [""] * na, nb),
-        np.tile(labels_b or [""] * nb, na),
-    )
+    """Cartesian product of per-arm kets, arm-A major order: setting i * kb + j pairs ket i of A with ket j of B."""
+    pairs = np.indices((len(kets_a), len(kets_b))).reshape(2, -1).T
+    return Settings(kets_a, kets_b, labels_a, labels_b, pairs)
 
 
 def family_settings(family: str, dim_a: int, dim_b: int) -> Settings:
@@ -333,33 +351,19 @@ def frequencies(record: TomographyRecord) -> np.ndarray:
     return record.counts / (record.rate_hz * record.integration_time_s)
 
 
-def _row_index(kets: np.ndarray, index: dict[bytes, int]) -> np.ndarray:
-    """Each row's number among the distinct rows, matched by their bytes.
-
-    index maps a row's bytes to its number; rows not in it yet are added in
-    order of first appearance. 0.0 and -0.0, which json writes differently,
-    are different rows.
-    """
-    keys = np.ascontiguousarray(kets).view(f"V{kets.shape[1] * kets.itemsize}").ravel().tolist()
-    return np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
-
-
 def _product_factors(record: TomographyRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arm kets V_a (ka, n_a) and V_b (kb, n_b) and frequencies F (ka, kb) with F[i, j] at V_a[i] x V_b[j].
 
-    When the settings are every pair of their distinct arm-A and arm-B kets,
-    each exactly once and in any order, the factors are those distinct kets.
-    Any other record is its joint kets against the trivial 1 x 1 factor.
+    When pairs covers every (ia, ib) cell exactly once, in any order, the
+    factors are the arm tables (a ket under two labels is two rows, as in
+    the joint design). Any other record is its joint kets against a 1 x 1 factor.
     """
     table, freq = record.settings, frequencies(record)
-    rows_a, rows_b = _row_index(table.kets_a, {}), _row_index(table.kets_b, {})
-    ka, kb = rows_a.max() + 1, rows_b.max() + 1
-    cells = rows_a * kb + rows_b
-    if ka * kb == len(freq) and np.bincount(cells, minlength=ka * kb).max() == 1:
+    (ka, kb), (ia, ib) = (len(table.kets_a), len(table.kets_b)), table.pairs.T
+    if ka * kb == len(freq) and np.bincount(ia * kb + ib, minlength=ka * kb).max() == 1:
         grid = np.empty((ka, kb))
-        grid[rows_a, rows_b] = freq
-        first_a, first_b = np.unique(rows_a, return_index=True)[1], np.unique(rows_b, return_index=True)[1]
-        return table.kets_a[first_a], table.kets_b[first_b], grid
+        grid[ia, ib] = freq
+        return table.kets_a, table.kets_b, grid
     return table.joint_kets(), np.ones((1, 1), dtype=complex), freq[:, None]
 
 
@@ -378,12 +382,11 @@ def reconstruct_linear(record: TomographyRecord) -> DensityMatrix:
     estimate in Frobenius norm (_nearest_density, the projection of the
     MLE's gradient steps). A record without counts is refused.
 
-    A record of product settings whose rows are every pair of its distinct
-    arm-A kets (matched by bytes) and distinct arm-B kets, each pair once in
-    any order, has the design A_a x A_b, so the least-squares coefficients
-    are C = A_a^+ F (A_b^+)^T for the frequency grid F: two small per-arm
-    solves (45 x 25 at d = 5, 120 x 64 at d = 8) instead of one on the
-    (m, n^2) joint design. The pairwise, mub and qubit36 records of
+    A record whose pairs cover every (ia, ib) cell of its arm tables exactly
+    once, in any order, has the design A_a x A_b, so the least-squares
+    coefficients are C = A_a^+ F (A_b^+)^T for the frequency grid F: two
+    small per-arm solves (45 x 25 at d = 5, 120 x 64 at d = 8) instead of
+    one on the (m, n^2) joint design. The pairwise, mub and qubit36 records of
     `simulate` are such grids. Any other record (a setting dropped or
     repeated, or an arbitrary list) is its joint kets against a 1 x 1
     factor, which is the joint solve. The rank is that of the joint design:
@@ -656,13 +659,13 @@ def reconstruct_mle(
 # --- qubit sub-tomography ---------------------------------------------------
 
 
-def _arm_restrictions(kets: np.ndarray, pairs: set[IndexPair]) -> dict[IndexPair, tuple[np.ndarray, np.ndarray]]:
-    """Per index pair: which arm kets live on span{|lo>, |hi>}, and those kets restricted.
+def _arm_restrictions(kets: np.ndarray, used: np.ndarray, pairs: set[IndexPair]) -> dict[IndexPair, tuple]:
+    """Per index pair: which settings' kets on one arm live on span{|lo>, |hi>}, and the arm table restricted.
 
-    kets is the (m, d) stack of one arm. For each pair the mask marks the
-    kets with at most SUPPORT_ATOL of |ket|^2 outside (lo, hi); their rows of
-    the (m, 2) restriction hold (ket[lo], ket[hi]) / sqrt(inside), the
-    other rows are zero.
+    kets is the (k, d) table of the arm and used each setting's row of it.
+    The kets with at most SUPPORT_ATOL of |ket|^2 outside (lo, hi) live on
+    the span; their rows of the (k, 2) restriction hold (ket[lo], ket[hi]) /
+    sqrt(inside), the other rows are zero.
     """
     weight = np.abs(kets) ** 2
     total = weight.sum(axis=1)
@@ -672,7 +675,7 @@ def _arm_restrictions(kets: np.ndarray, pairs: set[IndexPair]) -> dict[IndexPair
         keep = ~(total - inside > SUPPORT_ATOL)
         sub = np.zeros((len(kets), 2), dtype=complex)
         sub[keep] = kets[keep][:, [pair.lo, pair.hi]] / np.sqrt(inside[keep])[:, None]
-        out[pair] = keep, sub
+        out[pair] = keep[used], sub
     return out
 
 
@@ -684,8 +687,8 @@ def sector_records(
     A sector keeps, in record order, the settings whose arm-A ket lives on
     span{|a.lo>, |a.hi>} and whose arm-B ket lives on span{|b.lo>, |b.hi>},
     re-expressed in subspace coordinates (lo -> 0, hi -> 1). Counts and
-    labels pass through unmodified. The |ket|^2 tables of each arm are
-    computed once, so a sector is one boolean mask over the settings.
+    labels pass through unmodified. The arm tables are restricted once per
+    index pair, so a sector is one boolean mask over the settings.
     Pairwise-overcomplete records yield exactly 36 settings per sector.
     """
     for a, b in pairs:
@@ -694,13 +697,13 @@ def sector_records(
                 f"pair indices ({a.lo},{a.hi})x({b.lo},{b.hi}) exceed dims ({record.dim_a}, {record.dim_b})"
             )
     table = record.settings
-    arms_a = _arm_restrictions(table.kets_a, {a for a, _ in pairs})
-    arms_b = _arm_restrictions(table.kets_b, {b for _, b in pairs})
+    arms_a = _arm_restrictions(table.kets_a, table.pairs[:, 0], {a for a, _ in pairs})
+    arms_b = _arm_restrictions(table.kets_b, table.pairs[:, 1], {b for _, b in pairs})
     records = []
     for a, b in pairs:
         (keep_a, sub_a), (keep_b, sub_b) = arms_a[a], arms_b[b]
         kept = np.flatnonzero(keep_a & keep_b)
-        settings = Settings(sub_a[kept], sub_b[kept], table.labels_a[kept], table.labels_b[kept])
+        settings = Settings(sub_a, sub_b, table.labels_a, table.labels_b, table.pairs[kept])
         rank = int(np.linalg.matrix_rank(_design_matrix(settings.joint_kets(), 4))) if len(kept) else 0
         if rank < 16:
             raise ValueError(
@@ -748,18 +751,10 @@ def budget(d: int, integration_time_s: float = 10.0) -> Budget:
 
 
 def record_to_dict(record: TomographyRecord) -> dict:
-    """The record file's object: each arm's distinct (ket, label) entries once, each setting an index pair into them.
-
-    Entries are in order of first appearance. Kets match by their bytes, so
-    kets that differ only in the sign of a zero, which json writes differently, stay apart.
-    """
-    arms, rows = {}, []
-    for arm in "ab":
-        kets, labels = getattr(record.settings, f"kets_{arm}"), getattr(record.settings, f"labels_{arm}").tolist()
-        index = {}  # (distinct ket number, label) -> entry number
-        rows.append([index.setdefault(key, len(index)) for key in zip(_row_index(kets, {}).tolist(), labels)])
-        first = np.unique(rows[-1], return_index=True)[1]
-        arms[arm] = [{"ket": ket, "label": labels[j]} for ket, j in zip(complex_pairs(kets[first]), first)]
+    """The record file's object: the settings' arm tables, as {ket, label} entries, and index pairs, as they are."""
+    table = record.settings
+    arms = {arm: [{"ket": ket, "label": label} for ket, label in zip(complex_pairs(kets), labels.tolist())]
+            for arm, kets, labels in (("a", table.kets_a, table.labels_a), ("b", table.kets_b, table.labels_b))}
     return {
         "dimA": record.dim_a,
         "dimB": record.dim_b,
@@ -767,7 +762,7 @@ def record_to_dict(record: TomographyRecord) -> dict:
         "integration_time_s": float(record.integration_time_s),
         "seed": record.seed,
         "arms": arms,
-        "settings": [[ia, ib] for ia, ib in zip(*rows)],
+        "settings": table.pairs.tolist(),
         "counts": [int(c) if c.is_integer() else c for c in record.counts.tolist()],  # Poisson draws are integral
     }
 
@@ -845,11 +840,11 @@ def record_from_dict(obj: dict) -> TomographyRecord:
         raise ValueError("field 'arms' must be an object with arm lists 'a' and 'b'")
     kets_a, labels_a = _arm_table(obj["arms"].get("a"), "a", parse_dim(obj, "dimA"), "dimA", field)
     kets_b, labels_b = _arm_table(obj["arms"].get("b"), "b", parse_dim(obj, "dimB"), "dimB", field)
-    ia, ib = _index_pairs(require_field(obj, "settings"), len(kets_a), len(kets_b)).T
+    pairs = _index_pairs(require_field(obj, "settings"), len(kets_a), len(kets_b))
     return TomographyRecord(
         rate_hz=parse_field(obj, "rate_hz", _json_number),
         integration_time_s=parse_field(obj, "integration_time_s", _json_number),
-        settings=Settings(kets_a[ia], kets_b[ib], labels_a[ia], labels_b[ib]),
+        settings=Settings(kets_a, kets_b, labels_a, labels_b, pairs),
         counts=parse_field(obj, "counts", _json_counts),
         seed=obj.get("seed"),
     )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from pconcurrence.states import (
     save_state,
 )
 from pconcurrence.witness import identity_pairing, normalize_measure, pconcurrence_known, pconcurrence_search, report_to_dict
-from pconcurrence.tomography import load_record, save_record
+from pconcurrence.tomography import Settings, load_record, save_record
 
 
 @pytest.fixture()
@@ -781,6 +782,52 @@ def test_per_setting_record_gives_the_same_outputs(tmp_path, capsys, family, d):
             code = main([command[0], str(path), *command[1:], "--out", str(out)])
             outputs.append((code, capsys.readouterr(), out.exists() and out.read_bytes()))
         assert outputs[0] == outputs[1], command
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_witness_refuses_a_mub_record_that_reconstruct_reads(tmp_path, capsys, d):
+    # Every mub ket outside the computational basis has all d entries
+    # nonzero, so only the 2 x 2 basis settings restrict to a qubit sector.
+    record = _simulate_pinned(tmp_path, "mub", d)
+    capsys.readouterr()
+    for pairing in ("known", "search"):
+        assert main(["witness", str(record), "--pairing", pairing]) == 1
+        assert capsys.readouterr() == (
+            "", "error: only 4 settings (rank 4) remain on subspace (0,1)x(0,1); 16 independent settings are needed\n"
+        )
+    assert main(["reconstruct", str(record), "--method", "linear", "--out", str(tmp_path / "rho.json")]) == 0
+
+
+def test_sector_only_record_witnesses_its_pairing_and_refuses_the_search(tmp_path, capsys):
+    # A d = 4 pairwise record cut down, by index selection, to the settings of
+    # the known-pairing sectors: 32 K + d^2 = 208 of its 784.
+    state, full = tmp_path / "state.json", tmp_path / "full.json"
+    save_state(state, make_spdc_qudit(4, 1.5))
+    assert main(["simulate", str(state), "--seed", "0", "--out", str(full)]) == 0
+    record = load_record(full)
+    s = record.settings
+
+    def on(kets, pair):
+        """Which arm kets have no amplitude outside the index pair."""
+        return ~np.delete(kets, [pair.lo, pair.hi], axis=1).any(axis=1)
+
+    keep = np.zeros(len(s), dtype=bool)
+    for a, b in identity_pairing(4):
+        keep |= on(s.kets_a, a)[s.pairs[:, 0]] & on(s.kets_b, b)[s.pairs[:, 1]]
+    assert keep.sum() == 208
+    cut = Settings(s.kets_a, s.kets_b, s.labels_a, s.labels_b, s.pairs[keep])
+    path = tmp_path / "sectors.json"
+    save_record(path, replace(record, settings=cut, counts=record.counts[keep]))
+    capsys.readouterr()
+    # The known-pairing sectors keep the same settings, in the same order, so the report is the full record's.
+    assert main(["witness", str(full)]) == 0
+    expected = capsys.readouterr()
+    assert main(["witness", str(path)]) == 0
+    assert capsys.readouterr() == expected
+    assert main(["witness", str(path), "--pairing", "search"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: only 12 settings (rank 8) remain on subspace (0,1)x(0,2); 16 independent settings are needed\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -52,8 +52,14 @@ def qutrit_settings():
 
 
 def take(settings, index):
-    """The rows index of a settings table, in that order."""
-    return Settings(settings.kets_a[index], settings.kets_b[index], settings.labels_a[index], settings.labels_b[index])
+    """The settings index of a settings table, in that order."""
+    return Settings(settings.kets_a, settings.kets_b, settings.labels_a, settings.labels_b, settings.pairs[index])
+
+
+def per_setting(settings):
+    """Setting by setting, read through pairs: (arm-A kets, arm-B kets, arm-A labels, arm-B labels), each (m, ...)."""
+    ia, ib = settings.pairs.T
+    return settings.kets_a[ia], settings.kets_b[ib], settings.labels_a[ia], settings.labels_b[ib]
 
 
 def random_density(d, rank, seed, d_b=None):
@@ -209,7 +215,7 @@ def test_simulated_means_and_counts_match_per_setting_kron_vdot():
     for name, d, settings in setting_sets():
         for rho in (random_density(d, 2, d), density_from_ket(make_spdc_qudit(d, 1.5))):
             probs = []
-            for a, b in zip(settings.kets_a, settings.kets_b):
+            for a, b in zip(*per_setting(settings)[:2]):
                 v = np.kron(a, b)
                 probs.append(min(1.0, max(0.0, float(np.vdot(v, rho.matrix @ v).real))))
             means = np.array([1e3 * 10.0 * p for p in probs])
@@ -360,7 +366,7 @@ def test_joint_kets_match_kron():
     product = list(itertools.product(kets_a, kets_b))
     assert settings.joint_kets().tobytes() == np.array([np.kron(a, b) for a, b in product]).tobytes()
     labels = list(itertools.product(labels_a, labels_b))
-    assert list(zip(settings.labels_a, settings.labels_b)) == labels
+    assert list(zip(*per_setting(settings)[2:])) == labels
 
 
 def test_reconstruct_linear_rejects_rank_deficient():
@@ -504,8 +510,7 @@ def likelihood_certificate(record, rho):
     density matrices sigma of Tr(R sigma) is lambda_max(R).
     """
     seen = record.counts > 0
-    s = record.settings
-    kets = np.array([np.kron(a, b) for a, b, k in zip(s.kets_a, s.kets_b, seen) if k])
+    kets = np.array([np.kron(a, b) for a, b, k in zip(*per_setting(record.settings)[:2], seen) if k])
     counts = record.counts[seen]
     total = counts.sum()
     p = np.einsum("ji,ik,jk->j", kets.conj(), rho.matrix, kets).real
@@ -601,8 +606,7 @@ def per_setting_sector(record, a, b):
         return np.array([ket[pair.lo], ket[pair.hi]]) / math.sqrt(inside)
 
     kept = []
-    s = record.settings
-    for ket_a, ket_b, label_a, label_b, count in zip(s.kets_a, s.kets_b, s.labels_a, s.labels_b, record.counts):
+    for ket_a, ket_b, label_a, label_b, count in zip(*per_setting(record.settings), record.counts):
         sub_a, sub_b = restrict(ket_a, a), restrict(ket_b, b)
         if sub_a is not None and sub_b is not None:
             kept.append((sub_a, sub_b, (label_a, label_b), count))
@@ -636,9 +640,10 @@ def test_sector_records_match_the_per_setting_filter():
         for (a, b), sub in zip(pairs, sector_records(record, pairs), strict=True):
             kets_a, kets_b, labels, counts = per_setting_sector(record, a, b)
             assert (sub.dim_a, sub.dim_b, sub.seed) == (2, 2, record.seed)
-            assert sub.settings.kets_a.tobytes() == kets_a.tobytes()
-            assert sub.settings.kets_b.tobytes() == kets_b.tobytes()
-            assert list(zip(sub.settings.labels_a, sub.settings.labels_b)) == [tuple(pair) for pair in labels]
+            sub_kets_a, sub_kets_b, sub_labels_a, sub_labels_b = per_setting(sub.settings)
+            assert sub_kets_a.tobytes() == kets_a.tobytes()
+            assert sub_kets_b.tobytes() == kets_b.tobytes()
+            assert list(zip(sub_labels_a, sub_labels_b)) == [tuple(pair) for pair in labels]
             assert sub.counts.tobytes() == counts.tobytes()
             assert sector_records(record, [(a, b)])[0].counts.tobytes() == counts.tobytes()
     # every pair gains a seventh arm ket, the one that leaks ~1e-14 of its weight
@@ -699,9 +704,10 @@ def test_record_json_round_trip():
     back = record_from_dict(obj)
     assert np.array_equal(back.counts, record.counts)
     assert back.seed == 7
-    assert np.abs(back.settings.kets_a - record.settings.kets_a).max() < 1e-15
-    assert np.abs(back.settings.kets_b - record.settings.kets_b).max() < 1e-15
-    assert list(back.settings.labels_a) == list(record.settings.labels_a)
+    (back_a, back_b, back_labels, _), (kets_a, kets_b, labels, _) = per_setting(back.settings), per_setting(record.settings)
+    assert np.abs(back_a - kets_a).max() < 1e-15
+    assert np.abs(back_b - kets_b).max() < 1e-15
+    assert list(back_labels) == list(labels)
 
 
 def test_save_record_writes_the_json_dump(tmp_path):
@@ -735,6 +741,55 @@ def test_record_arm_entries_keep_labels_and_signed_zeros(tmp_path):
         assert list(getattr(back.settings, f"labels_{arm}")) == list(getattr(settings, f"labels_{arm}"))
     assert back.counts.tobytes() == record.counts.tobytes()
     assert (back.rate_hz, back.integration_time_s, back.seed) == (1e3, 1.0, 2)
+
+
+def test_per_row_and_arm_table_settings_are_the_same_settings():
+    # Repeated (ket, label) rows, one ket under two labels and one that differs
+    # only in the sign of a zero, written per row and as shuffled arm tables
+    # with a duplicate and an unused entry.
+    e0, e1 = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
+    e0_signed = np.array([1, complex(-0.0, 0.0)])
+    per_row = Settings(np.array([e0, e0_signed, e0, e1, e0]), np.array([e0, e0, e1, e1, e1]),
+                       ["H", "H", "x", "V", "H"], ["H"] * 5)
+    tables = Settings(np.array([e1, e0, e0_signed, e0, e0, e1]), np.array([e1, e0]),
+                      ["V", "H", "H", "x", "H", "Z"], ["H", "H"], np.array([[4, 1], [2, 1], [3, 0], [0, 0], [1, 0]]))
+    for settings in (per_row, tables):
+        assert settings.kets_a.tobytes() == np.array([e0, e0_signed, e0, e1]).tobytes()
+        assert settings.kets_b.tobytes() == np.array([e0, e1]).tobytes()
+        assert list(settings.labels_a) == ["H", "H", "x", "V"]
+        assert list(settings.labels_b) == ["H", "H"]
+        assert settings.pairs.tolist() == [[0, 0], [1, 0], [2, 1], [3, 1], [0, 1]]
+    assert tables.joint_kets().tobytes() == per_row.joint_kets().tobytes()
+    assert per_row.joint_kets().tobytes() == np.array([np.kron(a, b) for a, b in zip(*per_setting(per_row)[:2])]).tobytes()
+
+
+def test_sector_records_restrict_the_arm_tables():
+    record = TomographyRecord(1e3, 1.0, family_settings("pairwise", 8, 8), np.ones(14400))
+    assert (len(record.settings.kets_a), len(record.settings.kets_b)) == (120, 120)
+    for sub in sector_records(record, identity_pairing(8)):
+        assert (len(sub.settings.kets_a), len(sub.settings.kets_b), len(sub.settings)) == (6, 6, 36)
+        assert sorted(map(tuple, sub.settings.pairs.tolist())) == list(itertools.product(range(6), repeat=2))
+
+
+def test_settings_refuse_index_pairs_outside_the_tables():
+    kets = np.eye(2, dtype=complex)
+    for pairs, message in (
+        ([[0, 0], [0, -1], [2, 0]], r"settings\[1\] = \[0, -1\] is outside arm tables of 2 and 2 kets"),
+        ([[0, 0], [1, 1], [2, 0]], r"settings\[2\] = \[2, 0\] is outside arm tables of 2 and 2 kets"),
+        ([[-2, 5]], r"settings\[0\] = \[-2, 5\] is outside"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Settings(kets, kets, pairs=np.array(pairs))
+    with pytest.raises(TypeError, match="Cannot cast"):  # a float index is not truncated
+        Settings(kets, kets, pairs=np.array([[0.5, 0.0]]))
+    with pytest.raises(ValueError, match="one row each"):
+        Settings(kets, kets, ["x"] * 3, pairs=np.array([[0, 0]]))
+    # the first setting that uses a bad ket is named, arm a before arm b
+    bad = np.array([[1, 0], [2, 0]], dtype=complex)
+    with pytest.raises(ValueError, match=r"settings\[1\].b is not normalized"):
+        Settings(bad, bad, pairs=np.array([[0, 0], [0, 1], [1, 0]]))
+    with pytest.raises(ValueError, match=r"settings\[0\].a is not normalized"):
+        Settings(bad, bad, pairs=np.array([[1, 1]]))
 
 
 def test_record_validation():
