@@ -12,6 +12,7 @@ likelihood.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -263,19 +264,81 @@ def family_settings(family: str, dim_a: int, dim_b: int) -> Settings:
 def born_probabilities(rho: DensityMatrix, settings: Settings) -> np.ndarray:
     """Tr(rho |a><a| x |b><b|) for every joint setting, clipped into [0, 1].
 
-    Each entry is vdot(v, rho v) on its own row v of the ket stack, bit-equal
-    to the one-setting evaluation on kron(a, b); a stacked matrix product
-    rounds differently, which would shift Poisson draws and exact means.
+    One stacked product v^dag (rho v) over the rows v of the ket stack, each
+    a matrix-vector product then a dot product, as vdot(v, rho @ v) is: every
+    entry is bit-equal to the one-setting evaluation on kron(a, b). A product
+    that groups the sums otherwise, such as rho @ kets.T, rounds differently,
+    which would shift Poisson draws and exact means.
     """
     dims = (settings.kets_a.shape[1], settings.kets_b.shape[1])
     if dims != (rho.dim_a, rho.dim_b):
         raise ValueError(f"settings of dims {dims} do not match the state's dims {(rho.dim_a, rho.dim_b)}")
-    m = rho.matrix
-    p = np.array([np.vdot(v, m @ v).real for v in settings.joint_kets()])
+    kets = settings.joint_kets()
+    m_kets = np.matmul(rho.matrix, kets[:, :, None])
+    p = np.matmul(np.conjugate(kets, out=kets)[:, None, :], m_kets)[:, 0, 0].real  # conjugated in place: one stack less
     outside = (p < -1e-12) | (p > 1.0 + 1e-12)
     if outside.any():
         raise ValueError(f"Born probability {float(p[outside][0])!r} outside [0, 1]")
     return np.clip(p, 0.0, 1.0) + 0.0  # + 0.0: no -0.0 probabilities or exact means
+
+
+# numpy's SeedSequence hash constants and PCG64's multiplier; NEP 19 keeps SeedSequence and PCG64 seeding stable.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
+
+
+def _stream_states(base: int, index: np.ndarray) -> list[dict]:
+    """PCG64(SeedSequence(entropy=base, spawn_key=(i,))).state for every i < 2**32 of index, seeded in one pass.
+
+    Follows numpy's SeedSequence step for step, on one uint32 column per
+    index: mix_entropy puts base's 32-bit words (least significant first),
+    zero-padded to the pool size as a non-empty spawn key requires, then i,
+    into a pool of 4 words, and generate_state(4, np.uint64) hashes the pool
+    into the words (seed, inc). PCG64 seeds its 128-bit LCG from them as
+    state = (inc' + seed) * _PCG_MULT + inc' with inc' = 2 inc + 1, mod 2**128.
+    """
+    u32, shift = np.uint32, np.uint32(16)
+    run = [base >> k & 0xFFFFFFFF for k in range(0, max(base.bit_length(), 1), 32)]
+    entropy = [u32(w) for w in run + [0] * (_POOL_SIZE - len(run))] + [np.asarray(index, dtype=u32)]
+    hash_a = u32(_INIT_A)
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = hash_a * u32(_MULT_A)
+        value = value * hash_a
+        return value ^ value >> shift
+
+    def mix(x, y):
+        out = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return out ^ out >> shift
+
+    with np.errstate(over="ignore"):  # uint32 arithmetic wraps mod 2**32, as numpy's does
+        pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL_SIZE:]:  # the index is the last word, so every pool word is a column from here on
+            for dst in range(_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        hash_b, words = u32(_INIT_B), []
+        for k in range(8):
+            value = pool[k % _POOL_SIZE] ^ hash_b
+            hash_b = hash_b * u32(_MULT_B)
+            value = value * hash_b
+            words.append((value ^ value >> shift).astype(np.uint64))
+    # uint64 word k is uint32 words 2k (low) and 2k + 1 (high); a 128-bit number is two of them, the high first
+    seed_hi, seed_lo, inc_hi, inc_lo = ((words[2 * k + 1] << np.uint64(32) | words[2 * k]).tolist() for k in range(4))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK_128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK_128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def simulate_counts(
@@ -289,9 +352,14 @@ def simulate_counts(
 
     Counts are Poisson with mean rate_hz * integration_time_s * p_Born,
     one independent stream per (seed, setting index) so records are
-    reproducible regardless of evaluation order. A rate_hz *
-    integration_time_s that is not finite and positive, or a Poisson mean
-    above POISSON_MEAN_MAX, is refused before any count is drawn.
+    reproducible regardless of evaluation order: count j is
+    default_rng(SeedSequence(entropy=seed, spawn_key=(j,))).poisson(mean_j),
+    and a zero mean is 0 without a draw. _stream_states seeds every stream
+    in one pass and one reused generator draws them;
+    test_simulated_means_and_counts_match_per_setting_kron_vdot pins the
+    counts to that per-setting loop. A seed of None draws fresh OS entropy.
+    A rate_hz * integration_time_s that is not finite and positive, or a
+    Poisson mean above POISSON_MEAN_MAX, is refused before any count is drawn.
     """
     scale = _count_scale(rate_hz, integration_time_s)
     _check_seed(seed)
@@ -303,10 +371,15 @@ def simulate_counts(
             f"above numpy's largest {POISSON_MEAN_MAX!r}"
         )
     base = np.random.SeedSequence().entropy if seed is None else seed
+    live = np.flatnonzero(means)  # a zero mean draws 0 without its stream
+    bits = np.random.PCG64(0)  # a fixed seed, as PCG64() reads OS entropy; each draw replaces the state
+    poisson = np.random.Generator(bits).poisson
+    draws = []
+    for state, mean in zip(_stream_states(base, live), means[live].tolist()):
+        bits.state = state
+        draws.append(poisson(mean))
     counts = np.zeros(len(means))
-    for i in np.flatnonzero(means):  # a zero mean draws 0 without its stream
-        stream = np.random.SeedSequence(entropy=base, spawn_key=(int(i),))
-        counts[i] = np.random.default_rng(stream).poisson(means[i])
+    counts[live] = draws
     return TomographyRecord(rate_hz, integration_time_s, settings, counts, seed)
 
 
@@ -776,7 +849,7 @@ def _json_number(value) -> float:
 
 def _json_counts(value) -> np.ndarray:
     """The counts as floats; a boolean or string entry, which numpy would convert, is refused."""
-    if isinstance(value, list) and any(isinstance(c, (bool, str)) for c in value):
+    if isinstance(value, list) and any(issubclass(t, (bool, str)) for t in set(map(type, value))):
         raise TypeError
     return np.array(value, dtype=float)
 
@@ -822,7 +895,13 @@ def _index_pairs(value, ka: int, kb: int) -> np.ndarray:
     """The settings' [ia, ib] pairs as an (m, 2) array; an error names the first that is not two JSON integers in range."""
     if not isinstance(value, list):
         raise ValueError("field 'settings' must be a list of [ia, ib] index pairs")
-    for i, p in enumerate(value):
+    if set(map(type, value)) <= {list} and set(map(len, value)) <= {2}:
+        flat = list(itertools.chain.from_iterable(value))
+        if set(map(type, flat)) <= {int}:  # no bools, floats or strings
+            pairs = np.array(flat).reshape(-1, 2)  # int64 unless an entry needs more bits
+            if pairs.dtype.kind == "i" and (pairs >= 0).all() and (pairs < [ka, kb]).all():
+                return pairs.astype(np.intp, copy=False)
+    for i, p in enumerate(value):  # name the first bad pair
         if not (type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
                 and 0 <= p[0] < ka and 0 <= p[1] < kb):
             raise ValueError(f"settings[{i}] must be [ia, ib] with 0 <= ia < {ka} and 0 <= ib < {kb}, got {p!r:.60}")

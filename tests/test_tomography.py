@@ -3,8 +3,11 @@ import json
 import math
 from dataclasses import asdict, replace
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import noiseless_record
 from pconcurrence.measures import uhlmann_fidelity, wootters_concurrence
@@ -211,8 +214,8 @@ def test_simulate_streams_split_per_setting_index():
 
 def test_simulated_means_and_counts_match_per_setting_kron_vdot():
     # bit-equal to the per-setting evaluation vdot(kron(a, b), rho kron(a, b)) clipped into [0, 1],
-    # and to one Poisson stream per (seed, setting index)
-    for name, d, settings in setting_sets():
+    # and to one Poisson stream per (seed, setting index); pairwise8 is a large record of 14 400 settings
+    for name, d, settings in [*setting_sets(), ("pairwise8", 8, family_settings("pairwise", 8, 8))]:
         for rho in (random_density(d, 2, d), density_from_ket(make_spdc_qudit(d, 1.5))):
             probs = []
             for a, b in zip(*per_setting(settings)[:2]):
@@ -227,6 +230,26 @@ def test_simulated_means_and_counts_match_per_setting_kron_vdot():
             assert drawn.counts.tobytes() == counts.tobytes(), name
             for j in (0, len(settings) // 2, len(settings) - 1):
                 assert born_probabilities(rho, take(settings, [j]))[0] == probs[j]
+
+
+def numpy_stream_state(base, i):
+    """The PCG64 state of default_rng(SeedSequence(entropy=base, spawn_key=(i,))), seeded by numpy itself."""
+    return np.random.PCG64(np.random.SeedSequence(entropy=base, spawn_key=(i,))).state
+
+
+@pytest.mark.parametrize("base", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**200 + 3, None])
+def test_bulk_stream_seeding_matches_numpy(base):
+    # None stands for the seed=None path, whose base is fresh 128-bit OS entropy
+    base = np.random.SeedSequence().entropy if base is None else base
+    index = np.array([0, 1, 2**31, 2**32 - 1])
+    assert tomography._stream_states(base, index) == [numpy_stream_state(base, i) for i in index.tolist()]
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**256), st.lists(st.integers(0, 2**32 - 1), max_size=20))
+def test_bulk_stream_seeding_matches_numpy_for_any_base_and_indices(base, index):
+    states = tomography._stream_states(base, np.array(index, dtype=np.intp))
+    assert states == [numpy_stream_state(base, i) for i in index]
 
 
 def test_born_probabilities_check_dimension_and_range():
