@@ -512,11 +512,12 @@ class _Likelihood:
         _require_counts(record)
         seen = record.counts > 0
         self.kets = record.settings.joint_kets()[seen]
+        self.conj = self.kets.conj()
         self.counts = record.counts[seen]
         self.total = float(self.counts.sum())
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        return np.einsum("ji,ji->j", self.kets.conj() @ rho, self.kets).real
+        return np.einsum("ji,ji->j", self.conj @ rho, self.kets).real
 
     def value(self, p: np.ndarray) -> float:
         return float(self.counts @ np.log(np.maximum(p, PROB_FLOOR)))
@@ -524,7 +525,7 @@ class _Likelihood:
     def gradient(self, p: np.ndarray) -> np.ndarray:
         """R = sum_j c_j / (N p_j) |v_j><v_j|, the gradient of ll / N; Tr(R rho) = 1."""
         w = self.counts / (self.total * np.maximum(p, PROB_FLOOR))
-        return (self.kets.T * w) @ self.kets.conj()
+        return (self.kets.T * w) @ self.conj
 
     def gain(self, rho: np.ndarray, p: np.ndarray, cand: np.ndarray) -> tuple[float, np.ndarray]:
         """ll(cand) - ll(rho) and the probabilities of cand.
@@ -549,13 +550,18 @@ def _nearest_density(m: np.ndarray) -> np.ndarray:
     """The unit-trace PSD matrix nearest to Hermitian m in Frobenius norm.
 
     Projects the eigenvalues onto the probability simplex (Smolin, Gambetta
-    & Smith, PRL 108, 070502 (2012)).
+    & Smith, PRL 108, 070502 (2012)): the shift is the excess over 1 of the
+    k largest, divided by k, for the last k whose smallest stays above it.
+    The few eigenvalues are scanned as Python floats, which sum them in
+    the order np.cumsum does.
     """
     w, v = np.linalg.eigh(m)
-    u = w[::-1]
-    excess = np.cumsum(u) - 1.0
-    k = np.nonzero(u * np.arange(1, len(u) + 1) > excess)[0][-1]
-    return (v * np.maximum(w - excess[k] / (k + 1), 0.0)) @ v.conj().T
+    total = 0.0
+    for k, u in enumerate(w[::-1].tolist(), 1):
+        total += u
+        if u * k > total - 1.0:
+            shift = (total - 1.0) / k
+    return (v * np.maximum(w - shift, 0.0)) @ v.conj().T
 
 
 def _gradient_step(
@@ -610,33 +616,51 @@ def _newton_step(like: _Likelihood, rho: np.ndarray, p: np.ndarray) -> Step | No
     its gauge directions A -> A U are flat, so the Hessian's eigenvalues
     enter by magnitude with a floor (Dauphin et al., NeurIPS 2014). Far
     from the maximum that quadratic model overshoots, so the factor step
-    halves until it loses no likelihood, as in _rho_r_rho.
+    halves until it loses no likelihood, as in _rho_r_rho, or until the
+    halved step's first-order gain grad . dx / 2^k falls below TOL, which
+    no accepted step could beat.
+
+    The real parameters x interleave (Re A[i, k], Im A[i, k]), so x and the
+    step are A and dA viewed as floats, and the Jacobian of the q_j =
+    |A^dag v_j|^2 is 2 M, M[j, (i, k)] = v_j[i] conj(A^dag v_j)[k] viewed
+    likewise. The Hessian is filled in place, term by term: the Gauss
+    term -4 M^T (c / q^2) M, then 2 G x I_r with G = sum_j c_j / q_j
+    |v_j><v_j|, added to its r diagonal blocks as the real 2 x 2 form
+    [[Re, -Im], [Im, Re]] of each entry, then the terms of -N log |A|^2.
     """
     A = psd_factor(rho)
     n, r = A.shape
     if 2 * n * r > NEWTON_MAX_PARAMS:
         return None
-    W = like.kets @ A.conj()
-    q = (np.abs(W) ** 2).sum(axis=1)
+    kets, conj, c, N = like.kets, like.conj, like.counts, like.total
+    W = conj @ A  # W[j, k] = conj(A^dag v_j)[k]
+    q = (W.view(float) ** 2).sum(axis=1)
     live = q > PROB_FLOOR  # the floored terms of ll are flat in A
-    kets, W, q, c, N = like.kets[live], W[live], q[live], like.counts[live], like.total
-    M = (kets[:, :, None] * W.conj()[:, None, :]).reshape(len(q), n * r)
-    J = 2 * np.concatenate([M.real, M.imag], axis=1)
-    x = np.concatenate([A.real.ravel(), A.imag.ravel()])
+    if not live.all():
+        kets, conj, W, q, c = kets[live], conj[live], W[live], q[live], c[live]
+    M = (kets[:, :, None] * W[:, None, :]).view(float).reshape(len(q), -1)
+    x = A.view(float).ravel()
     norm2 = float(x @ x)
-    grad = J.T @ (c / q) - 2 * N * x / norm2
-    K = np.kron((kets.T * (c / q)) @ kets.conj(), np.eye(r))
-    hess = -(J.T * (c / q**2)) @ J + 2 * np.block([[K.real, -K.imag], [K.imag, K.real]])
-    hess -= N * (2 * np.eye(len(x)) / norm2 - 4 * np.outer(x, x) / norm2**2)
+    w1 = c / q
+    grad = 2 * (w1 @ M) - (2 * N / norm2) * x
+    hess = (M.T * (-4 * w1 / q)) @ M
+    G_conj = (conj.T * w1) @ kets
+    # Entry (i, i') of G enters as 2 [[Re, -Im], [Im, Re]]: rows that are the (Re, Im) pairs of 2 conj(G), 2i conj(G).
+    blocks = (G_conj[:, None, :] * [[2], [2j]]).view(float).reshape(n, 2, n, 2)
+    np.einsum("ikajkb->kiajb", hess.reshape(n, r, 2, n, r, 2))[...] += blocks
+    hess.reshape(-1)[:: len(x) + 1] -= 2 * N / norm2
+    hess += np.outer(x, (4 * N / norm2**2) * x)
     w, Q = np.linalg.eigh(hess)
     dx = Q @ ((Q.T @ grad) / np.maximum(np.abs(w), 1e-6 * np.abs(w).max()))
-    dA = (dx[: n * r] + 1j * dx[n * r :]).reshape(n, r)
+    slope = float(grad @ dx)
+    dA = dx.view(complex).reshape(n, r)
     for _halving in range(60):
         B = A + dA
         cand = B @ B.conj().T
         cand /= float(np.trace(cand).real)
         gain, pc = like.gain(rho, p, cand)
-        if gain >= 0:
+        slope /= 2
+        if gain >= 0 or slope < TOL:
             break
         dA /= 2
     return cand, pc, gain
@@ -648,7 +672,8 @@ def reconstruct_mle(
     """Maximum-likelihood reconstruction by an accelerated, monotone ascent.
 
     Maximizes ll(rho) = sum_j c_j log p_j(rho) over density matrices from
-    the maximally mixed start. Each iteration takes the best of:
+    the maximally mixed start, in two phases. Until a step gains less than
+    POLISH_GAIN, each iteration takes the best of:
 
     - an accelerated projected gradient step (Nesterov momentum, restarted
       whenever the momentum step gains less than TOL), projected onto the
@@ -659,10 +684,16 @@ def reconstruct_mle(
     - on restart, also the multiplicative rho <- N[R rho R] step, damped
       toward the identity until it loses no likelihood (Rehacek, Hradil,
       Knill & Lvovsky, PRA 75, 042108 (2007)), which is well scaled for
-      small but nonzero eigenvalues;
-    - once a step gains less than POLISH_GAIN, a saddle-free Newton step
-      on a factor of rho, halved until it loses no likelihood, which
-      converges where first-order steps crawl.
+      small but nonzero eigenvalues.
+
+    From then on (the polish) each iteration takes the better of one plain
+    projected gradient step from rho and a saddle-free Newton step on a
+    factor of rho (_newton_step), halved until it loses no likelihood or
+    its first-order gain falls below TOL; the Newton step converges where
+    first-order steps crawl, and the gradient step keeps the fit moving
+    where the factor's rank must grow. While rho's factor is too big for a
+    Newton step (more than NEWTON_MAX_PARAMS real parameters), the polish
+    iterations take the first phase's steps instead.
 
     A step that loses likelihood is never taken, so accepted iterates are
     monotone. Stops when an accepted step gains less than TOL, or warns
@@ -686,24 +717,28 @@ def reconstruct_mle(
     momentum, step, polish = 1.0, 1.0, False
     converged, gain = False, 0.0
     for _ in range(MAX_ITER):
-        next_momentum = (1 + math.sqrt(1 + 4 * momentum * momentum)) / 2
-        beta = (momentum - 1) / next_momentum
-        best = None
-        if beta > 0:
-            s, ps = rho + beta * (rho - prev_rho), p + beta * (p - prev_p)
-            if ps.min() > 0:
-                best, step = _gradient_step(like, s, ps, rho, p, step)
-            if best is None or best[2] < TOL:
-                best, next_momentum = None, 1.0
-        if best is None:
+        newton = _newton_step(like, rho, p) if polish else None
+        if newton is not None:
             best, step = _gradient_step(like, rho, p, rho, p, step)
-            best = max(best, _rho_r_rho(like, rho, p), key=lambda c: c[2])
-        newton = None
-        if polish or best[2] < POLISH_GAIN:
-            polish = True
-            newton = _newton_step(like, rho, p)
-            if newton is not None and newton[2] > best[2]:
-                best = newton
+            next_momentum = 1.0
+        else:  # before the polish, or while rho's factor is too big for a Newton step
+            next_momentum = (1 + math.sqrt(1 + 4 * momentum * momentum)) / 2
+            beta = (momentum - 1) / next_momentum
+            best = None
+            if beta > 0:
+                s, ps = rho + beta * (rho - prev_rho), p + beta * (p - prev_p)
+                if ps.min() > 0:
+                    best, step = _gradient_step(like, s, ps, rho, p, step)
+                if best is None or best[2] < TOL:
+                    best, next_momentum = None, 1.0
+            if best is None:
+                best, step = _gradient_step(like, rho, p, rho, p, step)
+                best = max(best, _rho_r_rho(like, rho, p), key=lambda c: c[2])
+            if not polish and best[2] < POLISH_GAIN:
+                polish = True
+                newton = _newton_step(like, rho, p)
+        if newton is not None and newton[2] > best[2]:
+            best = newton
         cand, pc, gain = best
         if not gain >= TOL:
             # Converged. A Newton step that loses nothing lands closest to
@@ -761,8 +796,10 @@ def sector_records(
     span{|a.lo>, |a.hi>} and whose arm-B ket lives on span{|b.lo>, |b.hi>},
     re-expressed in subspace coordinates (lo -> 0, hi -> 1). Counts and
     labels pass through unmodified. The arm tables are restricted once per
-    index pair, so a sector is one boolean mask over the settings.
-    Pairwise-overcomplete records yield exactly 36 settings per sector.
+    index pair, so a sector is one boolean mask over the settings, and the
+    design rank is found once per distinct restricted joint-ket table (all
+    sectors of a pairwise record share one). Pairwise-overcomplete records
+    yield exactly 36 settings per sector.
     """
     for a, b in pairs:
         if a.hi >= record.dim_a or b.hi >= record.dim_b:
@@ -772,12 +809,16 @@ def sector_records(
     table = record.settings
     arms_a = _arm_restrictions(table.kets_a, table.pairs[:, 0], {a for a, _ in pairs})
     arms_b = _arm_restrictions(table.kets_b, table.pairs[:, 1], {b for _, b in pairs})
-    records = []
+    records, ranks = [], {}  # joint-ket table bytes -> its design rank
     for a, b in pairs:
         (keep_a, sub_a), (keep_b, sub_b) = arms_a[a], arms_b[b]
         kept = np.flatnonzero(keep_a & keep_b)
         settings = Settings(sub_a, sub_b, table.labels_a, table.labels_b, table.pairs[kept])
-        rank = int(np.linalg.matrix_rank(_design_matrix(settings.joint_kets(), 4))) if len(kept) else 0
+        joint = settings.joint_kets()
+        key = joint.tobytes()
+        if key not in ranks:
+            ranks[key] = int(np.linalg.matrix_rank(_design_matrix(joint, 4))) if len(kept) else 0
+        rank = ranks[key]
         if rank < 16:
             raise ValueError(
                 f"only {len(kept)} settings (rank {rank}) remain on subspace "

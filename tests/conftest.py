@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pconcurrence.measures import wootters_concurrences
-from pconcurrence.states import as_density
+from pconcurrence.states import as_density, make_spdc_qudit, validate_density
 from pconcurrence.tomography import TomographyRecord, born_probabilities
 from pconcurrence.witness import WEIGHT_FLOOR, sector_pairs, sector_states
 
@@ -35,6 +35,13 @@ def _enumerated_search(rho):
 def noiseless_record(state, settings, rate_hz=1e4, time_s=1.0):
     """A record whose counts are the exact means rate_hz * time_s * p_Born, multiplied as simulate_counts does."""
     return TomographyRecord(rate_hz, time_s, settings, rate_hz * time_s * born_probabilities(as_density(state), settings))
+
+
+def white_noise_spdc(d, decay, visibility):
+    """visibility x make_spdc_qudit(d, decay) + (1 - visibility) x white noise, and that ket's Schmidt coefficients."""
+    psi = make_spdc_qudit(d, decay).amplitudes
+    m = visibility * np.outer(psi, psi.conj()) + (1 - visibility) * np.eye(d * d) / (d * d)
+    return validate_density(m, (d, d)), np.abs(psi[:: d + 1])
 
 
 @pytest.fixture()

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import noiseless_record
-from pconcurrence.measures import uhlmann_fidelity, wootters_concurrence
+from conftest import noiseless_record, white_noise_spdc
+from pconcurrence.measures import psd_factor, uhlmann_fidelity, wootters_concurrence
 from pconcurrence import tomography
 from pconcurrence.states import (
     BipartiteKet,
@@ -517,6 +517,50 @@ def test_reconstruct_mle_valid_under_noise():
     assert np.linalg.eigvalsh(rho.matrix)[0] > -1e-9
 
 
+def kron_block_newton_step(like, rho, p):
+    """The Newton candidate of _newton_step, its real Hessian assembled from np.kron and np.block blocks.
+
+    The parameters are (Re A, Im A) stacked, not interleaved; the step halves
+    until it loses no likelihood.
+    """
+    A = psd_factor(rho)
+    n, r = A.shape
+    W = like.kets @ A.conj()
+    c, q, N = like.counts, (np.abs(W) ** 2).sum(axis=1), like.total
+    M = (like.kets[:, :, None] * W.conj()[:, None, :]).reshape(len(q), n * r)
+    J = 2 * np.concatenate([M.real, M.imag], axis=1)
+    x = np.concatenate([A.real.ravel(), A.imag.ravel()])
+    norm2 = x @ x
+    grad = J.T @ (c / q) - 2 * N * x / norm2
+    K = np.kron((like.kets.T * (c / q)) @ like.kets.conj(), np.eye(r))
+    hess = -(J.T * (c / q**2)) @ J + 2 * np.block([[K.real, -K.imag], [K.imag, K.real]])
+    hess -= N * (2 * np.eye(len(x)) / norm2 - 4 * np.outer(x, x) / norm2**2)
+    w, Q = np.linalg.eigh(hess)
+    dx = Q @ ((Q.T @ grad) / np.maximum(np.abs(w), 1e-6 * np.abs(w).max()))
+    dA = (dx[: n * r] + 1j * dx[n * r :]).reshape(n, r)
+    for _halving in range(60):
+        cand = (A + dA) @ (A + dA).conj().T
+        cand /= np.trace(cand).real
+        if like.gain(rho, p, cand)[0] >= 0:
+            break
+        dA /= 2
+    return cand
+
+
+def test_newton_step_matches_the_kron_block_hessian():
+    # Far from the maximum, where the two halve alike, at factor ranks 1, 2 and full.
+    record = simulate_counts(density_from_ket(make_spdc_qudit(3, 1.5)), qutrit_settings(), 1000.0, 10.0, seed=0)
+    sub = sector_records(record, [(IndexPair(0, 1), IndexPair(0, 1))])[0]
+    for rec in (record, sub):
+        like = tomography._Likelihood(rec)
+        n = rec.dim_a * rec.dim_b
+        for rank in (1, 2, n):
+            rho = random_density(rec.dim_a, rank, seed=rank).matrix
+            p = like.probabilities(rho)
+            step = tomography._newton_step(like, rho, p)[0]
+            assert np.abs(step - kron_block_newton_step(like, rho, p)).max() <= 1e-9
+
+
 def test_reconstruct_mle_nonconvergence_warns(monkeypatch):
     record = noiseless_record(BELL, bell_settings())
     monkeypatch.setattr(tomography, "MAX_ITER", 5)
@@ -563,7 +607,25 @@ def ququart_sector_records():
                 yield sub
 
 
-@pytest.mark.parametrize("records", [qutrit_records, ququart_sector_records])
+def white_noise_record(d, decay, visibility, time_s, seed):
+    """A pairwise record at 1 kHz of visibility x an spdc state + (1 - visibility) x white noise."""
+    rho, _ = white_noise_spdc(d, decay, visibility)
+    return simulate_counts(rho, family_settings("pairwise", d, d), 1000.0, time_s, seed=seed)
+
+
+def near_pure_records():
+    # Eigenvalues near 1e-4 beside a dominant one: the hardest full fits, hundreds of iterations.
+    for seed in (0, 1):
+        yield white_noise_record(3, 0.64, 0.999, 1000.0, seed)
+
+
+def noisy_ququart_records():
+    # Full rank: 16 x 16 fits whose Newton factor has 512 real parameters.
+    for seed in (0, 1):
+        yield white_noise_record(4, 1.5, 0.9, 10.0, seed)
+
+
+@pytest.mark.parametrize("records", [qutrit_records, ququart_sector_records, near_pure_records, noisy_ququart_records])
 def test_mle_reaches_the_maximum(records):
     for record in records():
         rho, history = reconstruct_mle(record, return_history=True)
@@ -572,11 +634,22 @@ def test_mle_reaches_the_maximum(records):
         assert likelihood_certificate(record, rho) <= 1e-3
 
 
-def test_sector_fits_have_no_slow_tail():
+def test_sector_fits_have_no_slow_tail(monkeypatch):
     # The known-pairing sectors of near-uniform d = 5 records, as in the
     # record benchmark. Most fits take under 10 iterations; a few end in
     # the slow regime where first-order gains stay near 1e-3 per step, and
-    # a solver that only crawls there takes up to 100.
+    # a solver that only crawls there takes up to 100. The likelihood
+    # evaluations of every trial step count too: a polish that also takes
+    # momentum and R rho R steps, or halves a Newton step whose first-order
+    # gain is already below TOL, makes ~1700 over these 40 fits.
+    gain, gains = tomography._Likelihood.gain, 0
+
+    def counted_gain(*args):
+        nonlocal gains
+        gains += 1
+        return gain(*args)
+
+    monkeypatch.setattr(tomography._Likelihood, "gain", counted_gain)
     settings = family_settings("pairwise", 5, 5)
     for seed, decay in enumerate(np.linspace(8.0, 12.0, 4)):
         record = simulate_counts(density_from_ket(make_spdc_qudit(5, decay)), settings, 1000.0, 10.0, seed=seed)
@@ -585,6 +658,7 @@ def test_sector_fits_have_no_slow_tail():
             assert len(history) - 1 <= 30
             assert all(history[i + 1] >= history[i] - 1e-9 for i in range(len(history) - 1))
             assert likelihood_certificate(sub, rho) <= 1e-3
+    assert gains <= 1400
 
 
 def test_sector_records_counts_and_shape():
@@ -792,6 +866,23 @@ def test_sector_records_restrict_the_arm_tables():
     for sub in sector_records(record, identity_pairing(8)):
         assert (len(sub.settings.kets_a), len(sub.settings.kets_b), len(sub.settings)) == (6, 6, 36)
         assert sorted(map(tuple, sub.settings.pairs.tolist())) == list(itertools.product(range(6), repeat=2))
+
+
+def test_sector_records_name_the_one_deficient_sector():
+    # Without the settings that measure a superposition of |1> and |2> on both
+    # arms, sector (1,2)x(1,2) alone loses settings: it keeps 20, of rank 12,
+    # on the same restricted arm tables as the 35 sectors that keep all 36.
+    settings = family_settings("pairwise", 4, 4)
+    sup12 = np.array([label.startswith("sup:1+2:") for label in settings.labels_a])  # both arms hold this table
+    kept = np.flatnonzero(~(sup12[settings.pairs[:, 0]] & sup12[settings.pairs[:, 1]]))
+    assert len(kept) == len(settings) - 16
+    record = TomographyRecord(1e3, 1.0, take(settings, kept), np.ones(len(kept)))
+    pairs = sector_pairs(4)
+    deficient = pairs.index((IndexPair(1, 2), IndexPair(1, 2)))
+    others = sector_records(record, pairs[:deficient] + pairs[deficient + 1 :])
+    assert [len(sub.settings) for sub in others] == [36] * 35
+    with pytest.raises(ValueError, match=r"^only 20 settings \(rank 12\) remain on subspace \(1,2\)x\(1,2\); 16 independent"):
+        sector_records(record, pairs)
 
 
 def test_settings_refuse_index_pairs_outside_the_tables():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import white_noise_spdc
 from pconcurrence.measures import ket_fidelity, wootters_concurrences
 from pconcurrence.states import (
     BipartiteKet,
@@ -460,12 +461,6 @@ def test_search_table_equals_single_sector_results_exactly():
             for row in pconcurrence_search(rho).subspace_rows:
                 assert row == table[(row.a, row.b)]
     assert zero_support > 0
-
-
-def white_noise_spdc(d, decay, visibility):
-    psi = make_spdc_qudit(d, decay).amplitudes
-    m = visibility * np.outer(psi, psi.conj()) + (1 - visibility) * np.eye(d * d) / (d * d)
-    return validate_density(m, (d, d)), np.abs(psi[:: d + 1])
 
 
 def test_white_noise_spdc_matches_x_state_closed_form():
