@@ -55,52 +55,43 @@ class Settings:
     """Joint rank-1 projective measurements: one ket table per arm and one index pair per setting.
 
     Setting j measures |kets_a[pairs[j, 0]]> x |kets_b[pairs[j, 1]]>: kets_a is (ka, dA), kets_b (kb, dB),
-    each with a label string per row, and pairs (m, 2); without pairs, row j of both tables is setting j.
-    The tables keep their distinct (ket bytes, label) entries in use, in order of first use, so equal
-    settings hold equal tables and pairs. Every table ket is checked for unit norm here, once.
+    each with a label string per row, and pairs (m, 2). The tables and pairs are kept as given, repeated
+    and unused entries included. Every table ket is checked for unit norm here, once.
     """
 
     kets_a: np.ndarray
     kets_b: np.ndarray
+    pairs: np.ndarray
     labels_a: np.ndarray | None = None
     labels_b: np.ndarray | None = None
-    pairs: np.ndarray | None = None
 
     def __post_init__(self):
-        m = len(self.kets_a)
-        pairs = np.repeat(np.arange(m), 2).reshape(m, 2) if self.pairs is None else np.asarray(self.pairs)
-        tables = []
         for arm in "ab":
             kets = np.asarray(getattr(self, f"kets_{arm}"), dtype=complex)
-            k = m if self.pairs is None else len(kets)
             labels = getattr(self, f"labels_{arm}")
-            labels = np.asarray([""] * k if labels is None else labels, dtype=object)
-            if kets.ndim != 2 or len(kets) != k or labels.shape != (k,):
-                raise ValueError(f"settings need {k} kets and {k} labels on arm {arm}, one row each")
-            tables.append((kets, labels))
-        sizes = [len(kets) for kets, _ in tables]
+            labels = np.asarray([""] * len(kets) if labels is None else labels, dtype=object)
+            if kets.ndim != 2 or labels.shape != (len(kets),):
+                raise ValueError(f"settings need {len(kets)} kets and {len(kets)} labels on arm {arm}, one row each")
+            object.__setattr__(self, f"kets_{arm}", kets)
+            object.__setattr__(self, f"labels_{arm}", labels)
+        pairs = np.asarray(self.pairs)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"pairs must be an (m, 2) array of index pairs, got shape {pairs.shape}")
+        sizes = [len(self.kets_a), len(self.kets_b)]
         outside = ((pairs < 0) | (pairs >= sizes)).any(axis=1)  # numpy would wrap a negative index
         if outside.any():
             j = np.flatnonzero(outside)[0]
             raise ValueError(f"settings[{j}] = {pairs[j].tolist()} is outside arm tables of {sizes[0]} and {sizes[1]} kets")
         pairs = pairs.astype(np.intp, casting="safe")  # a float index is refused, not truncated
-        for used, arm, (kets, labels) in zip(pairs.T, "ab", tables):
-            # The distinct (ket bytes, label) entries in use, in order of first use; 0.0 and -0.0 differ, as in json.
-            rows = list(dict.fromkeys(used.tolist()))
-            kets_bytes = np.ascontiguousarray(kets[rows]).view(f"V{kets.shape[1] * kets.itemsize}").ravel().tolist()
-            first = {}  # (ket bytes, label) -> the first row in use that holds it
-            holders = [first.setdefault(key, row) for key, row in zip(zip(kets_bytes, labels[rows].tolist()), rows)]
-            entries = {row: n for n, row in enumerate(first.values())}  # the first row of each entry -> its number
-            renumber = np.empty(len(kets), dtype=np.intp)
-            renumber[rows] = [entries[row] for row in holders]
-            used[:] = renumber[used]
-            object.__setattr__(self, f"kets_{arm}", kets[list(entries)])
-            object.__setattr__(self, f"labels_{arm}", labels[list(entries)])
         object.__setattr__(self, "pairs", pairs)
         bad_a, bad_b = _off_norm(self.kets_a), _off_norm(self.kets_b)
-        if bad_a.any() or bad_b.any():
-            j, arm = np.argwhere(np.column_stack([bad_a[pairs[:, 0]], bad_b[pairs[:, 1]]]))[0]  # arm a before arm b
+        used = np.column_stack([bad_a[pairs[:, 0]], bad_b[pairs[:, 1]]])
+        if used.any():
+            j, arm = np.argwhere(used)[0]  # arm a before arm b
             raise ValueError(f"settings[{j}].{'ab'[arm]} is not normalized")
+        for arm, bad in (("a", bad_a), ("b", bad_b)):
+            if bad.any():
+                raise ValueError(f"kets_{arm}[{np.flatnonzero(bad)[0]}] is not normalized; no setting uses it")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -249,7 +240,7 @@ def joint_settings(
 ) -> Settings:
     """Cartesian product of per-arm kets, arm-A major order: setting i * kb + j pairs ket i of A with ket j of B."""
     pairs = np.indices((len(kets_a), len(kets_b))).reshape(2, -1).T
-    return Settings(kets_a, kets_b, labels_a, labels_b, pairs)
+    return Settings(kets_a, kets_b, pairs, labels_a, labels_b)
 
 
 def family_settings(family: str, dim_a: int, dim_b: int) -> Settings:
@@ -767,23 +758,24 @@ def reconstruct_mle(
 # --- qubit sub-tomography ---------------------------------------------------
 
 
-def _arm_restrictions(kets: np.ndarray, used: np.ndarray, pairs: set[IndexPair]) -> dict[IndexPair, tuple]:
-    """Per index pair: which settings' kets on one arm live on span{|lo>, |hi>}, and the arm table restricted.
+def _arm_restrictions(kets: np.ndarray, labels: np.ndarray, used: np.ndarray, pairs: set[IndexPair]) -> dict:
+    """Per index pair: one arm's table restricted to span{|lo>, |hi>}, its labels, and each setting's row in it.
 
-    kets is the (k, d) table of the arm and used each setting's row of it.
-    The kets with at most SUPPORT_ATOL of |ket|^2 outside (lo, hi) live on
-    the span; their rows of the (k, 2) restriction hold (ket[lo], ket[hi]) /
-    sqrt(inside), the other rows are zero.
+    kets is the (k, d) table of the arm, labels its k labels and used each
+    setting's row of it. The kets with at most SUPPORT_ATOL of |ket|^2
+    outside (lo, hi) live on the span; the restricted table holds their
+    (ket[lo], ket[hi]) / sqrt(inside), in table order, and a setting whose
+    ket is off the span has row -1.
     """
     weight = np.abs(kets) ** 2
     total = weight.sum(axis=1)
     out = {}
     for pair in pairs:
         inside = weight[:, pair.lo] + weight[:, pair.hi]
-        keep = ~(total - inside > SUPPORT_ATOL)
-        sub = np.zeros((len(kets), 2), dtype=complex)
-        sub[keep] = kets[keep][:, [pair.lo, pair.hi]] / np.sqrt(inside[keep])[:, None]
-        out[pair] = keep[used], sub
+        keep = np.flatnonzero(~(total - inside > SUPPORT_ATOL))
+        rows = np.full(len(kets), -1)
+        rows[keep] = np.arange(len(keep))
+        out[pair] = kets[keep][:, [pair.lo, pair.hi]] / np.sqrt(inside[keep])[:, None], labels[keep], rows[used]
     return out
 
 
@@ -796,7 +788,7 @@ def sector_records(
     span{|a.lo>, |a.hi>} and whose arm-B ket lives on span{|b.lo>, |b.hi>},
     re-expressed in subspace coordinates (lo -> 0, hi -> 1). Counts and
     labels pass through unmodified. The arm tables are restricted once per
-    index pair, so a sector is one boolean mask over the settings, and the
+    index pair, so a sector is the settings whose two rows are >= 0, and the
     design rank is found once per distinct restricted joint-ket table (all
     sectors of a pairwise record share one). Pairwise-overcomplete records
     yield exactly 36 settings per sector.
@@ -807,13 +799,13 @@ def sector_records(
                 f"pair indices ({a.lo},{a.hi})x({b.lo},{b.hi}) exceed dims ({record.dim_a}, {record.dim_b})"
             )
     table = record.settings
-    arms_a = _arm_restrictions(table.kets_a, table.pairs[:, 0], {a for a, _ in pairs})
-    arms_b = _arm_restrictions(table.kets_b, table.pairs[:, 1], {b for _, b in pairs})
+    arms_a = _arm_restrictions(table.kets_a, table.labels_a, table.pairs[:, 0], {a for a, _ in pairs})
+    arms_b = _arm_restrictions(table.kets_b, table.labels_b, table.pairs[:, 1], {b for _, b in pairs})
     records, ranks = [], {}  # joint-ket table bytes -> its design rank
     for a, b in pairs:
-        (keep_a, sub_a), (keep_b, sub_b) = arms_a[a], arms_b[b]
-        kept = np.flatnonzero(keep_a & keep_b)
-        settings = Settings(sub_a, sub_b, table.labels_a, table.labels_b, table.pairs[kept])
+        (sub_a, labels_a, rows_a), (sub_b, labels_b, rows_b) = arms_a[a], arms_b[b]
+        kept = np.flatnonzero((rows_a >= 0) & (rows_b >= 0))
+        settings = Settings(sub_a, sub_b, np.column_stack([rows_a[kept], rows_b[kept]]), labels_a, labels_b)
         joint = settings.joint_kets()
         key = joint.tobytes()
         if key not in ranks:
@@ -895,28 +887,8 @@ def _json_counts(value) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
-def _arms_from_settings(obj: dict) -> dict:
-    """A record in the per-setting layout, each setting {"a", "b", "label_a", "label_b"}, as arm tables.
-
-    Setting i becomes entry i of both arms, with index pair [i, i].
-    """
-    settings = obj.get("settings")
-    if not isinstance(settings, list):
-        raise ValueError("field 'settings' must be a list of setting objects")
-    for i, s in enumerate(settings):
-        if not isinstance(s, dict):
-            raise ValueError(f"settings[{i}] must be an object with kets 'a' and 'b'")
-        for arm in "ab":
-            if arm not in s:
-                raise ValueError(f"settings[{i}] has no ket {arm!r}")
-        if not (isinstance(s.get("label_a", ""), str) and isinstance(s.get("label_b", ""), str)):
-            raise ValueError(f"settings[{i}] labels must be strings")
-    arms = {arm: [{"ket": s[arm], "label": s.get(f"label_{arm}", "")} for s in settings] for arm in "ab"}
-    return {**obj, "arms": arms, "settings": [[i, i] for i in range(len(settings))]}
-
-
-def _arm_table(entries, arm: str, n: int, n_name: str, field: str) -> tuple[np.ndarray, np.ndarray]:
-    """An arm's kets (k, n), each of n entries and unit norm, and their k labels; field.format(arm=, i=) names ket i."""
+def _arm_table(entries, arm: str, n: int, n_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """An arm's kets (k, n), each of n entries and unit norm, and their k labels."""
     if not isinstance(entries, list):
         raise ValueError(f"field 'arms.{arm}' must be a list of {{ket, label}} objects")
     for i, e in enumerate(entries):
@@ -924,11 +896,11 @@ def _arm_table(entries, arm: str, n: int, n_name: str, field: str) -> tuple[np.n
             raise ValueError(f"arms.{arm}[{i}] must be an object with a 'ket'")
         if not isinstance(e.get("label"), str):
             raise ValueError(f"arms.{arm}[{i}].label must be a string")
-    kets = [parse_complex_list(e["ket"], field.format(arm=arm, i=i), n, n_name) for i, e in enumerate(entries)]
+    kets = [parse_complex_list(e["ket"], f"arms.{arm}[{i}].ket", n, n_name) for i, e in enumerate(entries)]
     kets = np.array(kets, dtype=complex).reshape(-1, n)
     bad = np.flatnonzero(_off_norm(kets))
     if len(bad):
-        raise ValueError(f"{field.format(arm=arm, i=bad[0])} is not normalized")
+        raise ValueError(f"arms.{arm}[{bad[0]}].ket is not normalized")
     return kets, np.array([e["label"] for e in entries], dtype=object)
 
 
@@ -950,21 +922,19 @@ def _index_pairs(value, ka: int, kb: int) -> np.ndarray:
 
 
 def record_from_dict(obj: dict) -> TomographyRecord:
-    """A record from the object of its file, in the arm-table layout or the older per-setting one."""
+    """A record from the object of its file: arm tables of {ket, label} entries and [ia, ib] index pairs."""
     if not isinstance(obj, dict):
         raise ValueError(f"a record must be a JSON object, got a {type(obj).__name__}")
-    field = "arms.{arm}[{i}].ket"
-    if "arms" not in obj:
-        obj, field = _arms_from_settings(obj), "settings[{i}].{arm}"
-    if not isinstance(obj["arms"], dict):
+    arms = require_field(obj, "arms")
+    if not isinstance(arms, dict):
         raise ValueError("field 'arms' must be an object with arm lists 'a' and 'b'")
-    kets_a, labels_a = _arm_table(obj["arms"].get("a"), "a", parse_dim(obj, "dimA"), "dimA", field)
-    kets_b, labels_b = _arm_table(obj["arms"].get("b"), "b", parse_dim(obj, "dimB"), "dimB", field)
+    kets_a, labels_a = _arm_table(arms.get("a"), "a", parse_dim(obj, "dimA"), "dimA")
+    kets_b, labels_b = _arm_table(arms.get("b"), "b", parse_dim(obj, "dimB"), "dimB")
     pairs = _index_pairs(require_field(obj, "settings"), len(kets_a), len(kets_b))
     return TomographyRecord(
         rate_hz=parse_field(obj, "rate_hz", _json_number),
         integration_time_s=parse_field(obj, "integration_time_s", _json_number),
-        settings=Settings(kets_a, kets_b, labels_a, labels_b, pairs),
+        settings=Settings(kets_a, kets_b, pairs, labels_a, labels_b),
         counts=parse_field(obj, "counts", _json_counts),
         seed=obj.get("seed"),
     )

@@ -59,8 +59,11 @@ def test_measure_max_entangled(max_qutrit_file, capsys):
 def test_measure_eof_json(tmp_path, capsys):
     path = tmp_path / "state.json"
     save_state(path, make_spdc_qutrit(SpdcParams(1.0, 0.0)))
-    assert main(["measure", str(path), "--measure", "eof", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = tmp_path / "eof.json"
+    assert main(["measure", str(path), "--measure", "eof", "--format", "json", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    payload = json.loads(printed)
     assert abs(payload["raw"] - 1.0) < 1e-9
     assert abs(payload["normalized"] - 0.6309297535714574) < 1e-6
     assert payload["normalize_dim"] == 3
@@ -101,6 +104,9 @@ def test_witness_malformed_density_entry_is_an_error(tmp_path, capsys):
     bad.write_text('{"type": "density", "dimA": 2, "dimB": 2, "data": [[1, 2]]}')
     assert main(["witness", str(bad)]) == 1
     assert capsys.readouterr().err == "error: data[0] must be a list of [re, im] pairs\n"
+    bad.write_text('{"type": "density", "dimA": 2, "dimB": 2, "data": {"re": 1}}')
+    assert main(["witness", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: data must be a list of rows of [re, im] pairs\n"
 
 
 @pytest.mark.parametrize(
@@ -156,40 +162,28 @@ def test_witness_non_object_file_is_an_error(tmp_path, capsys):
 def test_witness_malformed_record_setting_is_an_error(tmp_path, max_qutrit_file, capsys):
     record = tmp_path / "record.json"
     assert main(["simulate", max_qutrit_file, "--time-s", "1", "--out", str(record)]) == 0
-    obj = per_setting_dict(json.loads(record.read_text()))
-    obj["settings"][3]["a"] = 5
+    obj = json.loads(record.read_text())
+    obj["arms"]["a"][3]["ket"] = 5
     record.write_text(json.dumps(obj))
     capsys.readouterr()
     assert main(["witness", str(record)]) == 1
-    assert capsys.readouterr().err == "error: settings[3].a must be a list of [re, im] pairs\n"
+    assert capsys.readouterr().err == "error: arms.a[3].ket must be a list of [re, im] pairs\n"
 
 
-def _per_setting(obj):
-    """The settings of obj after turning it, in place, into the per-setting layout."""
-    old = per_setting_dict(obj)
-    obj.clear()
-    obj.update(old)
-    return obj["settings"]
-
-
-def _drop_ket_a(obj):
-    del _per_setting(obj)[3]["a"]
-
-
-def _short_ket_a(obj):
-    _per_setting(obj)[3]["a"] = [[1.0, 0.0], [0.0, 0.0]]
-
-
-def _unnormalized_ket_a(obj):
-    _per_setting(obj)[3]["a"] = [[2, 0], [0, 0], [0, 0]]
-
-
-def _boolean_ket_a(obj):
-    _per_setting(obj)[3]["a"] = [[True, False], [0, 0], [0, 0]]  # the ket it replaces, as booleans
-
-
-def _ragged_ket_b(obj):
-    _per_setting(obj)[3]["b"].append([0.0, 0.0])
+def test_per_setting_record_is_refused(tmp_path, max_qutrit_file, capsys):
+    # The layout records were written in before the arm tables: each setting
+    # spelled out both kets. `simulate` with the same state and seed writes
+    # its counts again, in the arm-table layout.
+    record, old = tmp_path / "record.json", tmp_path / "per_setting.json"
+    assert main(["simulate", max_qutrit_file, "--time-s", "1", "--out", str(record)]) == 0
+    old.write_text(json.dumps(per_setting_dict(json.loads(record.read_text())), indent=2) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    for argv in (["witness"], ["reconstruct", "--out", str(out)], ["measure", "--measure", "eof"],
+                 ["simulate", "--out", str(out)]):
+        assert main([argv[0], str(old), *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", "error: field 'arms' is missing\n")
+    assert not out.exists()
 
 
 # Arm-table edits of the same d = 3 pairwise record: 15 kets per arm, and
@@ -204,6 +198,22 @@ def _index_pair(value):
 
 def _drop_arm_b(obj):
     del obj["arms"]["b"]
+
+
+def _drop_arm_ket_a(obj):
+    del obj["arms"]["a"][3]["ket"]
+
+
+def _unnormalized_arm_ket_a(obj):
+    obj["arms"]["a"][3]["ket"] = [[2, 0], [0, 0], [0, 0]]
+
+
+def _boolean_arm_ket_a(obj):
+    obj["arms"]["a"][0]["ket"] = [[True, False], [0, 0], [0, 0]]  # the ket it replaces, as booleans
+
+
+def _ragged_arm_ket_b(obj):
+    obj["arms"]["b"][3]["ket"].append([0.0, 0.0])
 
 
 def _short_arm_ket_a(obj):
@@ -276,9 +286,8 @@ def _drop(key):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_drop_ket_a, "settings[3] has no ket 'a'"),
-        (_short_ket_a, "settings[3].a has 2 entries, expected dimA = 3"),
-        (_ragged_ket_b, "settings[3].b has 4 entries, expected dimB = 3"),
+        (_drop_arm_ket_a, "arms.a[3] must be an object with a 'ket'"),
+        (_ragged_arm_ket_b, "arms.b[3].ket has 4 entries, expected dimB = 3"),
         (_no_settings, "a record needs at least one setting"),
         (_scalar_counts, "counts must be a flat list of numbers"),
         (_nested_counts, "counts must be a flat list of numbers"),
@@ -293,8 +302,8 @@ def _drop(key):
         (_drop("rate_hz"), "field 'rate_hz' is missing"),
         (_set("rate_hz", True), "field 'rate_hz' is malformed: True"),
         (_set("integration_time_s", "1"), "field 'integration_time_s' is malformed: '1'"),
-        (_unnormalized_ket_a, "settings[3].a is not normalized"),
-        (_boolean_ket_a, "settings[3].a must be a list of [re, im] pairs"),
+        (_unnormalized_arm_ket_a, "arms.a[3].ket is not normalized"),
+        (_boolean_arm_ket_a, "arms.a[0].ket must be a list of [re, im] pairs"),
         (_set("seed", [1, "x"]), "seed must be an integer >= 0 or null, got [1, 'x']"),
         (_set("seed", -1), "seed must be an integer >= 0 or null, got -1"),
         (_huge_count, f"field 'counts' is malformed: [{str(HUGE)[:59]}"),
@@ -325,6 +334,16 @@ def test_malformed_record_is_an_error(tmp_path, max_qutrit_file, capsys, edit, m
     argv = [command, str(record)] + (["--out", str(tmp_path / "out.json")] if command == "reconstruct" else [])
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["measure", "--measure", "eof"], ["simulate", "--out", "out.json"]])
+def test_state_commands_refuse_a_record(tmp_path, monkeypatch, max_qutrit_file, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", max_qutrit_file, "--time-s", "1", "--out", "record.json"]) == 0
+    capsys.readouterr()
+    assert main([argv[0], "record.json", *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", f"error: {argv[0]} expects a state file, not a tomography record\n")
+    assert not Path("out.json").exists()
 
 
 @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ('"x"', "str"), ("null", "NoneType")])
@@ -734,18 +753,6 @@ RECORD_DIGESTS = {
     ("mub", 5): "ad32355a4a84f76091453d054fbf425899814b355cd9742698cd0c0114d2fb8b",
     ("qubit36", 2): "9e3179204e89f218fbe933c3435492fb2006230f4a1af8191298cb224736ae38",
 }
-# SHA-256 of the same records in the per-setting layout, as the writer before
-# the arm tables wrote them (json.dumps(..., indent=2) and a newline).
-PER_SETTING_DIGESTS = {
-    ("pairwise", 2): "a9c1a55cccad7b339f77488fe8021f9a9e80f9284089d6fe9dc6ae34254eed00",
-    ("pairwise", 3): "f8e3c2216a6578c6db3d9c446b247507c9cf73c2f87681899da30621d6e3d0f5",
-    ("pairwise", 4): "4886f4dfeee29763eb00f1d0a411a4cf92dee180f6f984d33e3349a5be6b79c3",
-    ("pairwise", 5): "c56291eee05c6b264363284a8132052c9d5f4f4712ca52ea02b8b5579ff1f6de",
-    ("mub", 2): "d944ad1f58b18378d06cc4dde7e82f0dfddb605f2182a0d63a0742f2a4a3dbb9",
-    ("mub", 3): "a07895eb8abdfbe8b15c7762cb78cbff2161a7fcc277d94932a8ad57608d9f0d",
-    ("mub", 5): "a1c3c1462eb0a4a8e76eefa49d2b47db589214765be24edfc6a817b108c493d8",
-    ("qubit36", 2): "a9c1a55cccad7b339f77488fe8021f9a9e80f9284089d6fe9dc6ae34254eed00",
-}
 
 
 def _simulate_pinned(tmp_path, family, d):
@@ -760,28 +767,6 @@ def _simulate_pinned(tmp_path, family, d):
 def test_simulate_record_bytes_are_pinned(tmp_path, family, d):
     record = _simulate_pinned(tmp_path, family, d)
     assert hashlib.sha256(record.read_bytes()).hexdigest() == RECORD_DIGESTS[family, d]
-
-
-@pytest.mark.parametrize("family, d", list(PER_SETTING_DIGESTS))
-def test_per_setting_record_gives_the_same_outputs(tmp_path, capsys, family, d):
-    # Same exit code, stdout, stderr and --out bytes; on mub records at d = 3 and 5
-    # witness fails alike, since too few settings restrict to a 2 x 2 sector.
-    record = _simulate_pinned(tmp_path, family, d)
-    old = tmp_path / "per_setting.json"
-    old.write_text(json.dumps(per_setting_dict(json.loads(record.read_text())), indent=2) + "\n")
-    assert hashlib.sha256(old.read_bytes()).hexdigest() == PER_SETTING_DIGESTS[family, d]
-    rewritten = tmp_path / "rewritten.json"
-    save_record(rewritten, load_record(old))
-    assert rewritten.read_bytes() == record.read_bytes()
-    capsys.readouterr()
-    for command in (["witness"], ["witness", "--pairing", "search"],
-                    ["reconstruct", "--method", "linear"], ["reconstruct", "--method", "mle"]):
-        outputs, out = [], tmp_path / "out.json"
-        for path in (old, record):
-            out.unlink(missing_ok=True)
-            code = main([command[0], str(path), *command[1:], "--out", str(out)])
-            outputs.append((code, capsys.readouterr(), out.exists() and out.read_bytes()))
-        assert outputs[0] == outputs[1], command
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -815,7 +800,7 @@ def test_sector_only_record_witnesses_its_pairing_and_refuses_the_search(tmp_pat
     for a, b in identity_pairing(4):
         keep |= on(s.kets_a, a)[s.pairs[:, 0]] & on(s.kets_b, b)[s.pairs[:, 1]]
     assert keep.sum() == 208
-    cut = Settings(s.kets_a, s.kets_b, s.labels_a, s.labels_b, s.pairs[keep])
+    cut = Settings(s.kets_a, s.kets_b, s.pairs[keep], s.labels_a, s.labels_b)
     path = tmp_path / "sectors.json"
     save_record(path, replace(record, settings=cut, counts=record.counts[keep]))
     capsys.readouterr()

@@ -173,6 +173,16 @@ def test_stack_kernels_equal_their_single_state_cases():
         assert i_concurrence_of_reduced(rho_a).tolist() == [i_concurrence(k) for k in kets]
 
 
+def test_pure_density_gives_its_ket_values():
+    # A density passes the purity gate and reaches rho_A by a partial trace, not through its ket.
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 5):
+        ket = random_ket(rng, d, d)
+        rho = density_from_ket(ket)
+        assert abs(eof_pure(rho) - eof_pure(ket)) <= 1e-12
+        assert abs(i_concurrence(rho) - i_concurrence(ket)) <= 1e-12
+
+
 def test_eof_rejects_mixed():
     with pytest.raises(ValueError, match="pure"):
         eof_pure(werner(0.5))
@@ -276,6 +286,11 @@ def test_fidelity_to_ket_values():
 def test_uhlmann_self_fidelity():
     rho = werner(0.3)
     assert abs(uhlmann_fidelity(rho, rho) - 1.0) < 1e-10
+
+
+def test_uhlmann_refuses_mismatched_dims():
+    with pytest.raises(ValueError, match=r"^dimension mismatch: \(2, 2\) vs \(3, 3\)$"):
+        uhlmann_fidelity(werner(0.3), density_from_ket(make_max_entangled(3)))
 
 
 def test_uhlmann_commuting_diagonal():

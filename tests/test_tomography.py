@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from dataclasses import asdict, replace
 
 import hypothesis
@@ -56,7 +57,12 @@ def qutrit_settings():
 
 def take(settings, index):
     """The settings index of a settings table, in that order."""
-    return Settings(settings.kets_a, settings.kets_b, settings.labels_a, settings.labels_b, settings.pairs[index])
+    return Settings(settings.kets_a, settings.kets_b, settings.pairs[index], settings.labels_a, settings.labels_b)
+
+
+def row_pairs(m):
+    """Index pairs [j, j], j < m: setting j measures row j of both tables."""
+    return np.repeat(np.arange(m), 2).reshape(m, 2)
 
 
 def per_setting(settings):
@@ -151,7 +157,7 @@ def test_born_probabilities_bell_cases():
     rho = density_from_ket(BELL)
     ket0 = np.array([1, 0], dtype=complex)
     ket1 = np.array([0, 1], dtype=complex)
-    p = born_probabilities(rho, Settings([ket0, ket0], [ket0, ket1]))
+    p = born_probabilities(rho, joint_settings([ket0], [ket0, ket1]))
     assert abs(p[0] - 0.5) < 1e-12
     assert p[1] < 1e-12
 
@@ -159,7 +165,7 @@ def test_born_probabilities_bell_cases():
 def test_born_probabilities_mub_conjugate_pairs():
     rho = density_from_ket(QUTRIT)
     kets = arm_kets("mub", 3)[0]
-    p = born_probabilities(rho, Settings(kets, kets.conj()))
+    p = born_probabilities(rho, Settings(kets, kets.conj(), row_pairs(12)))
     assert len(p) == 12
     assert np.abs(p - 1 / 3).max() < 1e-12
 
@@ -177,7 +183,7 @@ def test_simulate_zero_probability_gives_zero_counts():
     rho = density_from_ket(BELL)
     ket0 = np.array([1, 0], dtype=complex)
     ket1 = np.array([0, 1], dtype=complex)
-    settings = Settings([ket0] * 50, [ket1] * 50)
+    settings = Settings([ket0], [ket1], np.zeros((50, 2), dtype=int))
     record = simulate_counts(rho, settings, 1e6, 1.0, seed=5)
     assert record.counts.max() == 0.0
 
@@ -255,15 +261,15 @@ def test_bulk_stream_seeding_matches_numpy_for_any_base_and_indices(base, index)
 def test_born_probabilities_check_dimension_and_range():
     ket = np.array([1, 0], dtype=complex)
     with pytest.raises(ValueError, match=r"settings of dims \(2, 2\) do not match the state's dims \(3, 3\)"):
-        born_probabilities(density_from_ket(QUTRIT), Settings([ket], [ket]))
+        born_probabilities(density_from_ket(QUTRIT), Settings([ket], [ket], [[0, 0]]))
     # equal total dimension, arms swapped
     two_by_four = density_from_ket(BipartiteKet(2, 4, np.eye(8)[0]))
     with pytest.raises(ValueError, match=r"settings of dims \(4, 2\) do not match the state's dims \(2, 4\)"):
-        born_probabilities(two_by_four, Settings([np.eye(4)[0]], [ket]))
+        born_probabilities(two_by_four, Settings([np.eye(4)[0]], [ket], [[0, 0]]))
     rho = density_from_ket(BELL)
     object.__setattr__(rho, "matrix", 3 * rho.matrix)  # past the DensityMatrix gate
     with pytest.raises(ValueError, match="outside"):
-        born_probabilities(rho, Settings([ket], [ket]))
+        born_probabilities(rho, Settings([ket], [ket], [[0, 0]]))
 
 
 def test_simulate_rejects_bad_rate():
@@ -634,6 +640,30 @@ def test_mle_reaches_the_maximum(records):
         assert likelihood_certificate(record, rho) <= 1e-3
 
 
+def no_newton_record():
+    # Full rank at d = 3: with the cap at 16 real parameters no factor of a
+    # 9 x 9 state gets a Newton step, as no full-rank one does at d >= 5.
+    return white_noise_record(3, 1.5, 0.9, 10.0, 0)
+
+
+def test_polish_without_newton_steps_is_monotone(monkeypatch):
+    monkeypatch.setattr(tomography, "NEWTON_MAX_PARAMS", 16)
+    newton, steps = tomography._newton_step, []
+    monkeypatch.setattr(tomography, "_newton_step", lambda *args: steps.append(newton(*args)) or steps[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, history = reconstruct_mle(no_newton_record(), return_history=True)
+    assert steps and all(step is None for step in steps)
+    assert all(history[i + 1] >= history[i] - 1e-9 for i in range(len(history) - 1))
+
+
+@pytest.mark.xfail(strict=True, reason="without Newton steps the polish stops short: certificate ~0.021 after 105 iterations")
+def test_polish_without_newton_steps_reaches_the_maximum(monkeypatch):
+    monkeypatch.setattr(tomography, "NEWTON_MAX_PARAMS", 16)
+    record = no_newton_record()
+    assert likelihood_certificate(record, reconstruct_mle(record)) <= 1e-3
+
+
 def test_sector_fits_have_no_slow_tail(monkeypatch):
     # The known-pairing sectors of near-uniform d = 5 records, as in the
     # record benchmark. Most fits take under 10 iterations; a few end in
@@ -755,6 +785,11 @@ def test_extract_insufficient_settings():
         sector_records(record, [(IndexPair(0, 1), IndexPair(0, 1))])
 
 
+def test_sector_records_refuse_a_pair_beyond_the_dims():
+    with pytest.raises(ValueError, match=r"^pair indices \(0,3\)x\(0,1\) exceed dims \(3, 3\)$"):
+        sector_records(noiseless_record(QUTRIT, qutrit_settings()), [(IndexPair(0, 3), IndexPair(0, 1))])
+
+
 def test_budget_reproduces_reference_point():
     b = budget(8, 10.0)
     assert b.pconc_measurements == 1008
@@ -819,45 +854,31 @@ def test_save_record_writes_the_json_dump(tmp_path):
 
 
 def test_record_arm_entries_keep_labels_and_signed_zeros(tmp_path):
-    # One arm-A ket under two labels, and one that differs from it only in the sign of a zero.
+    # Arm tables are kept as given: a repeated (ket, label) entry, one ket under
+    # two labels, one that differs from it only in the sign of a zero, and an
+    # unused entry all round-trip byte for byte through the record file.
     e0, e1 = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
     e0_signed = np.array([1, complex(-0.0, 0.0)])
-    kets_a = np.array([e0, e0_signed, e0, e1, e0])
-    labels_a = ["H", "H", "x", "V", "H"]
-    settings = Settings(kets_a, np.array([e0, e0, e1, e1, e1]), labels_a, ["H"] * 5)
+    kets_a = np.array([e1, e0, e0_signed, e0, e0, e1])
+    labels_a = ["V", "H", "H", "x", "H", "Z"]  # entry 5 is used by no setting
+    pairs = np.array([[4, 1], [2, 1], [3, 0], [0, 0], [1, 0]])
+    settings = Settings(kets_a, np.array([e1, e0, e0]), pairs, labels_a, ["H", "H", "H"])
     record = TomographyRecord(1e3, 1.0, settings, np.array([1, 2, 3, 4, 5.5]), seed=2)
     obj = record_to_dict(record)
-    assert [entry["label"] for entry in obj["arms"]["a"]] == ["H", "H", "x", "V"]
-    assert [entry["label"] for entry in obj["arms"]["b"]] == ["H", "H"]
-    assert obj["settings"] == [[0, 0], [1, 0], [2, 1], [3, 1], [0, 1]]
+    assert [entry["label"] for entry in obj["arms"]["a"]] == labels_a
+    assert len(obj["arms"]["b"]) == 3
+    assert obj["settings"] == pairs.tolist()
     path = tmp_path / "record.json"
     save_record(path, record)
     back = tomography.load_record(path)
     for arm in "ab":
         assert getattr(back.settings, f"kets_{arm}").tobytes() == getattr(settings, f"kets_{arm}").tobytes()
         assert list(getattr(back.settings, f"labels_{arm}")) == list(getattr(settings, f"labels_{arm}"))
+    assert back.settings.pairs.tolist() == pairs.tolist()
     assert back.counts.tobytes() == record.counts.tobytes()
     assert (back.rate_hz, back.integration_time_s, back.seed) == (1e3, 1.0, 2)
-
-
-def test_per_row_and_arm_table_settings_are_the_same_settings():
-    # Repeated (ket, label) rows, one ket under two labels and one that differs
-    # only in the sign of a zero, written per row and as shuffled arm tables
-    # with a duplicate and an unused entry.
-    e0, e1 = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
-    e0_signed = np.array([1, complex(-0.0, 0.0)])
-    per_row = Settings(np.array([e0, e0_signed, e0, e1, e0]), np.array([e0, e0, e1, e1, e1]),
-                       ["H", "H", "x", "V", "H"], ["H"] * 5)
-    tables = Settings(np.array([e1, e0, e0_signed, e0, e0, e1]), np.array([e1, e0]),
-                      ["V", "H", "H", "x", "H", "Z"], ["H", "H"], np.array([[4, 1], [2, 1], [3, 0], [0, 0], [1, 0]]))
-    for settings in (per_row, tables):
-        assert settings.kets_a.tobytes() == np.array([e0, e0_signed, e0, e1]).tobytes()
-        assert settings.kets_b.tobytes() == np.array([e0, e1]).tobytes()
-        assert list(settings.labels_a) == ["H", "H", "x", "V"]
-        assert list(settings.labels_b) == ["H", "H"]
-        assert settings.pairs.tolist() == [[0, 0], [1, 0], [2, 1], [3, 1], [0, 1]]
-    assert tables.joint_kets().tobytes() == per_row.joint_kets().tobytes()
-    assert per_row.joint_kets().tobytes() == np.array([np.kron(a, b) for a, b in zip(*per_setting(per_row)[:2])]).tobytes()
+    save_record(tmp_path / "again.json", back)
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_sector_records_restrict_the_arm_tables():
@@ -897,13 +918,18 @@ def test_settings_refuse_index_pairs_outside_the_tables():
     with pytest.raises(TypeError, match="Cannot cast"):  # a float index is not truncated
         Settings(kets, kets, pairs=np.array([[0.5, 0.0]]))
     with pytest.raises(ValueError, match="one row each"):
-        Settings(kets, kets, ["x"] * 3, pairs=np.array([[0, 0]]))
+        Settings(kets, kets, np.array([[0, 0]]), ["x"] * 3)
+    with pytest.raises(ValueError, match=r"pairs must be an \(m, 2\) array of index pairs, got shape \(3,\)"):
+        Settings(kets, kets, np.array([0, 1, 1]))
     # the first setting that uses a bad ket is named, arm a before arm b
     bad = np.array([[1, 0], [2, 0]], dtype=complex)
     with pytest.raises(ValueError, match=r"settings\[1\].b is not normalized"):
         Settings(bad, bad, pairs=np.array([[0, 0], [0, 1], [1, 0]]))
     with pytest.raises(ValueError, match=r"settings\[0\].a is not normalized"):
         Settings(bad, bad, pairs=np.array([[1, 1]]))
+    # a bad ket that no setting uses is kept, so it is refused by its row
+    with pytest.raises(ValueError, match=r"^kets_b\[1\] is not normalized; no setting uses it$"):
+        Settings(kets, bad, pairs=np.array([[0, 0], [1, 0]]))
 
 
 def test_record_validation():
@@ -911,7 +937,7 @@ def test_record_validation():
     with pytest.raises(ValueError, match="counts"):
         TomographyRecord(1e3, 10.0, settings, np.zeros(5))
     with pytest.raises(ValueError, match="at least one setting"):
-        TomographyRecord(1e3, 10.0, Settings(np.zeros((0, 2)), np.zeros((0, 2))), np.zeros(0))
+        TomographyRecord(1e3, 10.0, Settings(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2), dtype=int)), np.zeros(0))
     with pytest.raises(ValueError, match="nonnegative"):
         TomographyRecord(1e3, 10.0, settings, np.full(36, -1.0))
     for bad in (np.nan, np.inf):
@@ -924,12 +950,12 @@ def test_record_validation():
     with pytest.raises(ValueError, match=r"arms.a\[0\].ket has 2 entries, expected dimA = 3"):
         record_from_dict({**obj, "dimA": 3})
     with pytest.raises(ValueError, match=r"settings\[0\].a is not normalized"):
-        Settings(np.array([[np.nan, 0.0]]), np.array([[1.0, 0.0]]))
+        Settings(np.array([[np.nan, 0.0]]), np.array([[1.0, 0.0]]), [[0, 0]])
     # the first unnormalized row is named, arm a before arm b
     kets = np.eye(2)[[0, 1, 0, 1]]
     with pytest.raises(ValueError, match=r"settings\[2\].b is not normalized"):
-        Settings(kets, kets * [[1], [1], [1], [2]] + [[0], [0], [1e-9], [0]])
+        Settings(kets, kets * [[1], [1], [1], [2]] + [[0], [0], [1e-9], [0]], row_pairs(4))
     with pytest.raises(ValueError, match="one row each"):
-        Settings(kets, kets[:3])
+        Settings(kets[0], kets, [[0, 0]])
     with pytest.raises(ValueError, match="one row each"):
-        Settings(kets, kets, ["x"] * 3)
+        Settings(kets, kets, row_pairs(4), ["x"] * 3)
