@@ -170,22 +170,6 @@ def test_witness_malformed_record_setting_is_an_error(tmp_path, max_qutrit_file,
     assert capsys.readouterr().err == "error: arms.a[3].ket must be a list of [re, im] pairs\n"
 
 
-def test_per_setting_record_is_refused(tmp_path, max_qutrit_file, capsys):
-    # The layout records were written in before the arm tables: each setting
-    # spelled out both kets. `simulate` with the same state and seed writes
-    # its counts again, in the arm-table layout.
-    record, old = tmp_path / "record.json", tmp_path / "per_setting.json"
-    assert main(["simulate", max_qutrit_file, "--time-s", "1", "--out", str(record)]) == 0
-    old.write_text(json.dumps(per_setting_dict(json.loads(record.read_text())), indent=2) + "\n")
-    capsys.readouterr()
-    out = tmp_path / "out.json"
-    for argv in (["witness"], ["reconstruct", "--out", str(out)], ["measure", "--measure", "eof"],
-                 ["simulate", "--out", str(out)]):
-        assert main([argv[0], str(old), *argv[1:]]) == 1
-        assert capsys.readouterr() == ("", "error: field 'arms' is missing\n")
-    assert not out.exists()
-
-
 # Arm-table edits of the same d = 3 pairwise record: 15 kets per arm, and
 # settings[5] = [0, 5].
 def _index_pair(value):
@@ -767,6 +751,41 @@ def _simulate_pinned(tmp_path, family, d):
 def test_simulate_record_bytes_are_pinned(tmp_path, family, d):
     record = _simulate_pinned(tmp_path, family, d)
     assert hashlib.sha256(record.read_bytes()).hexdigest() == RECORD_DIGESTS[family, d]
+
+
+# SHA-256 of the same records in the per-setting layout, as the writer before
+# the arm tables wrote them (json.dumps(..., indent=2) and a newline): each
+# setting spelled out both kets. That layout is no longer read.
+PER_SETTING_DIGESTS = {
+    ("pairwise", 2): "a9c1a55cccad7b339f77488fe8021f9a9e80f9284089d6fe9dc6ae34254eed00",
+    ("pairwise", 3): "f8e3c2216a6578c6db3d9c446b247507c9cf73c2f87681899da30621d6e3d0f5",
+    ("pairwise", 4): "4886f4dfeee29763eb00f1d0a411a4cf92dee180f6f984d33e3349a5be6b79c3",
+    ("pairwise", 5): "c56291eee05c6b264363284a8132052c9d5f4f4712ca52ea02b8b5579ff1f6de",
+    ("mub", 2): "d944ad1f58b18378d06cc4dde7e82f0dfddb605f2182a0d63a0742f2a4a3dbb9",
+    ("mub", 3): "a07895eb8abdfbe8b15c7762cb78cbff2161a7fcc277d94932a8ad57608d9f0d",
+    ("mub", 5): "a1c3c1462eb0a4a8e76eefa49d2b47db589214765be24edfc6a817b108c493d8",
+    ("qubit36", 2): "a9c1a55cccad7b339f77488fe8021f9a9e80f9284089d6fe9dc6ae34254eed00",
+}
+
+
+@pytest.mark.parametrize("family, d", list(PER_SETTING_DIGESTS))
+def test_per_setting_record_gives_the_same_outputs(tmp_path, capsys, family, d):
+    # Every command gives a per-setting file the same output: exit 1, one error
+    # line naming the missing arm tables, and no --out file. `simulate` with the
+    # same state and seed writes its counts again: the per-setting form of the
+    # record it draws is that file byte for byte.
+    record = _simulate_pinned(tmp_path, family, d)
+    old = tmp_path / "per_setting.json"
+    old.write_text(json.dumps(per_setting_dict(json.loads(record.read_text())), indent=2) + "\n")
+    assert hashlib.sha256(old.read_bytes()).hexdigest() == PER_SETTING_DIGESTS[family, d]
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    for command in (["witness"], ["witness", "--pairing", "search"],
+                    ["reconstruct", "--method", "linear"], ["reconstruct", "--method", "mle"],
+                    ["measure", "--measure", "eof"], ["simulate"]):
+        assert main([command[0], str(old), *command[1:], "--out", str(out)]) == 1, command
+        assert capsys.readouterr() == ("", "error: field 'arms' is missing\n"), command
+        assert not out.exists(), command
 
 
 @pytest.mark.parametrize("d", [3, 5])

@@ -881,6 +881,28 @@ def test_record_arm_entries_keep_labels_and_signed_zeros(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+
+def test_per_row_and_arm_table_settings_are_the_same_settings():
+    # Repeated (ket, label) rows, one ket under two labels and one that differs
+    # only in the sign of a zero, written one row per setting and as shuffled
+    # arm tables with a duplicate and an unused entry. Both are kept as given,
+    # and setting by setting they measure the same kets under the same labels.
+    e0, e1 = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
+    e0_signed = np.array([1, complex(-0.0, 0.0)])
+    rows_a, rows_b = np.array([e0, e0_signed, e0, e1, e0]), np.array([e0, e0, e1, e1, e1])
+    per_row = Settings(rows_a, rows_b, row_pairs(5), ["H", "H", "x", "V", "H"], ["H"] * 5)
+    table_a, table_b = np.array([e1, e0, e0_signed, e0, e0, e1]), np.array([e1, e0])
+    pairs = np.array([[4, 1], [2, 1], [3, 0], [0, 0], [1, 0]])
+    tables = Settings(table_a, table_b, pairs, ["V", "H", "H", "x", "H", "Z"], ["H", "H"])
+    assert per_row.kets_a.tobytes() == rows_a.tobytes() and per_row.kets_b.tobytes() == rows_b.tobytes()
+    assert tables.kets_a.tobytes() == table_a.tobytes() and tables.kets_b.tobytes() == table_b.tobytes()
+    assert list(tables.labels_a) == ["V", "H", "H", "x", "H", "Z"] and tables.pairs.tolist() == pairs.tolist()
+    kets_a, kets_b, labels_a, labels_b = per_setting(tables)
+    assert kets_a.tobytes() == rows_a.tobytes() and kets_b.tobytes() == rows_b.tobytes()
+    assert list(labels_a) == list(per_row.labels_a) and list(labels_b) == list(per_row.labels_b)
+    assert tables.joint_kets().tobytes() == per_row.joint_kets().tobytes()
+    assert per_row.joint_kets().tobytes() == np.array([np.kron(a, b) for a, b in zip(rows_a, rows_b)]).tobytes()
+
 def test_sector_records_restrict_the_arm_tables():
     record = TomographyRecord(1e3, 1.0, family_settings("pairwise", 8, 8), np.ones(14400))
     assert (len(record.settings.kets_a), len(record.settings.kets_b)) == (120, 120)
