@@ -45,12 +45,11 @@ from .witness import (
     WitnessReport,
     evaluate_measure,
     identity_pairing,
+    ket_sector_concurrences,
     normalize_measure,
     pconcurrence_known,
     pconcurrence_search,
     report_to_dict,
-    sector_concurrences,
-    sector_states,
     side_dim,
 )
 
@@ -107,7 +106,7 @@ def _write_grid(args: argparse.Namespace, path: bool) -> int:
     for block in np.split(kets, len(kets) // (args.grid_n + 1)):
         rho_a = reduced_a_of_kets(block, 3)
         columns.append([
-            sector_concurrences(*sector_states(block, (3, 3), pairing)).prod(axis=1),
+            ket_sector_concurrences(block, (3, 3), pairing).prod(axis=1),
             normalize_measure(eof_of_reduced(rho_a), "eof", 3),
             normalize_measure(i_concurrence_of_reduced(rho_a), "i_concurrence", 3),
         ])

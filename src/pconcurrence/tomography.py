@@ -486,7 +486,8 @@ MAX_ITER = 10000
 POLISH_GAIN = 1e-2
 # The Newton polish runs while its factor has at most this many real parameters.
 NEWTON_MAX_PARAMS = 512
-# The gradient step length doubles after every iteration, up to this cap.
+# Each gradient step sets the next one's length from its accepted trial's
+# curvature, at most doubling it, and never above this cap.
 STEP_MAX = 1e6
 
 Step = tuple[np.ndarray, np.ndarray, float]  # candidate, its probabilities, its gain
@@ -564,7 +565,9 @@ def _gradient_step(
     that fails it has curvature above 1/t along d = c - s; the next t is
     the step length at which that trial would just pass,
     |d|^2 / 2(<R, d> - gain/N), clamped to [t/64, t/2]. Returns the step,
-    with its gain over rho, and the step length t.
+    with its gain over rho, and the next step length: the same rule on the
+    accepted trial, min(2t, |d|^2 / 2(<R, d> - gain/N)), or 2t where
+    <R, d> - gain/N <= 0, capped at STEP_MAX.
     """
     R = like.gradient(ps)
     while True:
@@ -577,7 +580,7 @@ def _gradient_step(
         step = min(step / 2, max(step / 64, d2 / (2 * slope)))
     if s is not rho:
         gain, pc = like.gain(rho, p, cand)
-    return (cand, pc, gain), step
+    return (cand, pc, gain), min(2 * step, STEP_MAX, d2 / (2 * slope) if slope > 0 else math.inf)
 
 
 def _rho_r_rho(like: _Likelihood, rho: np.ndarray, p: np.ndarray) -> Step:
@@ -737,7 +740,6 @@ def reconstruct_mle(
             cand, pc, gain = newton if newton is not None and newton[2] >= 0 else (rho, p, 0.0)
         prev_rho, prev_p, rho, p = rho, p, cand, pc
         momentum = next_momentum
-        step = min(2 * step, STEP_MAX)
         history.append(history[-1] + gain)
         if gain < TOL:
             converged = True

@@ -11,8 +11,10 @@ log-concurrences, solved here in numpy by shortest augmenting paths.
 pconcurrence_known and pconcurrence_search take a state or a tomography
 record. Its sectors come as a stack, from sector_states (one gather from
 a ket or density, a stack of one) or tomography.sector_estimates (one MLE
-fit each), and sector_report scores the stack with one batched Wootters
-kernel, sector_concurrences.
+fit each), with their concurrences: a ket's sectors are pure, and
+ket_sector_concurrences scores them in closed form; density and record
+sectors go through one batched Wootters kernel, sector_concurrences.
+sector_report builds the rows from the stack and its concurrences.
 MEASURES is the table of named measures, this one among them.
 """
 
@@ -91,6 +93,14 @@ def sector_pairs(d: int) -> list[tuple[IndexPair, IndexPair]]:
     return [(a, b) for a in pairs for b in pairs]
 
 
+def _sector_index(dims: tuple[int, int], pairs: Sequence[tuple[IndexPair, IndexPair]]) -> np.ndarray:
+    """(M, 4) flat indices of each sector's basis (lo lo, lo hi, hi lo, hi hi) in a dimA * dimB ket."""
+    lohi = np.array([(a.lo, a.hi, b.lo, b.hi) for a, b in pairs]).reshape(-1, 4)
+    if (lohi[:, 1] >= dims[0]).any() or (lohi[:, 3] >= dims[1]).any():
+        raise ValueError(f"sector indices exceed dims ({dims[0]}, {dims[1]})")
+    return (lohi[:, :2, None] * dims[1] + lohi[:, None, 2:]).reshape(-1, 4)
+
+
 def sector_states(
     stack: np.ndarray, dims: tuple[int, int], pairs: Sequence[tuple[IndexPair, IndexPair]]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -105,10 +115,7 @@ def sector_states(
     Subspace coordinates map lo -> 0 and hi -> 1. States with weight below
     WEIGHT_FLOOR stay unnormalized.
     """
-    lohi = np.array([(a.lo, a.hi, b.lo, b.hi) for a, b in pairs]).reshape(-1, 4)
-    if (lohi[:, 1] >= dims[0]).any() or (lohi[:, 3] >= dims[1]).any():
-        raise ValueError(f"sector indices exceed dims ({dims[0]}, {dims[1]})")
-    idx = (lohi[:, :2, None] * dims[1] + lohi[:, None, 2:]).reshape(-1, 4)
+    idx = _sector_index(dims, pairs)
     # A gather leaves the stack axis innermost in memory; in C order each
     # state's products and sums run as they do for a stack of one.
     if stack.ndim == 2:
@@ -132,6 +139,25 @@ def sector_concurrences(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return conc
 
 
+def ket_sector_concurrences(
+    kets: np.ndarray, dims: tuple[int, int], pairs: Sequence[tuple[IndexPair, IndexPair]]
+) -> np.ndarray:
+    """(N, M) concurrences of each sector of an (N, dimA * dimB) ket stack, in closed form.
+
+    A sector of a ket is the pure two-qubit ket v = psi[idx], of weight
+    |v|^2, and its concurrence is 2 |v_00 v_11 - v_01 v_10| / |v|^2
+    (Wootters, PRL 80, 2245 (1998)), clamped into [0, 1]. The weight is
+    summed as sector_states sums it, so both gate the same sectors at
+    WEIGHT_FLOOR, and those score 0. As there, the gather is made
+    C-contiguous, so no result depends on the stack around it.
+    """
+    v = np.ascontiguousarray(kets[:, _sector_index(dims, pairs)])
+    weights = (v * v.conj()).real.sum(axis=-1)
+    live = weights >= WEIGHT_FLOOR
+    det = np.abs(v[..., 0] * v[..., 3] - v[..., 1] * v[..., 2])
+    return np.where(live, np.fmin(1.0, 2.0 * det / np.where(live, weights, 1.0)), 0.0)
+
+
 _BELL2 = make_max_entangled(2)
 
 
@@ -139,20 +165,21 @@ def sector_report(
     pairs: Sequence[tuple[IndexPair, IndexPair]],
     states: np.ndarray,
     weights: np.ndarray,
+    conc: np.ndarray,
     search: bool = False,
 ) -> WitnessReport:
-    """The one row builder: score a stack of sector states, pick and build rows.
+    """The one row builder: pick and build rows from a scored stack of sector states.
 
-    states[i] (unit trace) and weights[i] belong to sector pairs[i], from
-    sector_states or from tomography.sector_estimates. A sector with weight
-    below WEIGHT_FLOOR holds no entanglement: it scores concurrence 0,
-    fidelity 0 and weight 0. Without search, pairs is the pairing and
+    states[i] (unit trace), weights[i] and conc[i] belong to sector
+    pairs[i], from sector_states or from tomography.sector_estimates, and
+    conc from sector_concurrences or ket_sector_concurrences. A sector with
+    weight below WEIGHT_FLOOR holds no entanglement: it scores concurrence
+    0, fidelity 0 and weight 0. Without search, pairs is the pairing and
     every sector is a row; with it, pairs is the sector_pairs(d) table and
     maximize_over_pairings picks the rows. Bell fidelities are evaluated
     for the reported rows only.
     """
     live = weights >= WEIGHT_FLOOR
-    conc = sector_concurrences(states, weights)
     chosen = range(len(pairs))
     if search:
         k = math.isqrt(len(pairs))
@@ -187,13 +214,24 @@ def _check_pairing(pairing: Pairing, d: int) -> None:
             raise ValueError(f"pairing does not cover each side-{name} index pair exactly once")
 
 
-def _sectors(source: Source, pairs: Sequence[tuple[IndexPair, IndexPair]]) -> tuple[np.ndarray, np.ndarray]:
-    """Sector states and weights: blocks of a ket or density (a stack of one), or MLE estimates from a record."""
+def _sectors(
+    source: Source, pairs: Sequence[tuple[IndexPair, IndexPair]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sector states, weights and concurrences of a state (a stack of one) or a record.
+
+    A ket's sectors are scored in closed form, a density's blocks and a
+    record's MLE estimates by the Wootters kernel.
+    """
     if isinstance(source, TomographyRecord):
-        return sector_estimates(source, pairs)
-    stack = source.amplitudes if isinstance(source, BipartiteKet) else as_density(source).matrix
-    states, weights = sector_states(stack[None], (source.dim_a, source.dim_b), pairs)
-    return states[0], weights[0]
+        states, weights = sector_estimates(source, pairs)
+        return states, weights, sector_concurrences(states, weights)
+    dims = (source.dim_a, source.dim_b)
+    if isinstance(source, BipartiteKet):
+        kets = source.amplitudes[None]
+        (states,), (weights,) = sector_states(kets, dims, pairs)
+        return states, weights, ket_sector_concurrences(kets, dims, pairs)[0]
+    (states,), (weights,) = sector_states(as_density(source).matrix[None], dims, pairs)
+    return states, weights, sector_concurrences(states, weights)
 
 
 def pconcurrence_known(source: Source, pairing: Pairing) -> WitnessReport:
@@ -298,11 +336,18 @@ def report_to_dict(report: WitnessReport) -> dict:
     }
 
 
+def _concurrence(state: BipartiteKet | DensityMatrix) -> float:
+    """Concurrence of a 2 x 2 state: a ket's by the kernel its pconcurrence takes, a density's by Wootters."""
+    if isinstance(state, BipartiteKet) and (state.dim_a, state.dim_b) == (2, 2):
+        return float(ket_sector_concurrences(state.amplitudes[None], (2, 2), identity_pairing(2))[0, 0])
+    return wootters_concurrence(as_density(state))
+
+
 # Each named measure: (its value on a state, its pure-state maximum in d
 # dimensions, which normalizes it into [0, 1]). pconcurrence takes the
 # identity pairing, the correlation-preserving one of the state constructors.
 MEASURES = {
-    "concurrence": (lambda s: wootters_concurrence(as_density(s)), lambda d: 1.0),
+    "concurrence": (_concurrence, lambda d: 1.0),
     "i_concurrence": (i_concurrence, lambda d: math.sqrt(2.0 * (d - 1) / d)),
     "eof": (eof_pure, math.log2),
     "pconcurrence": (lambda s: pconcurrence_known(s, identity_pairing(s.dim_a)).pconcurrence, lambda d: 1.0),

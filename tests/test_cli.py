@@ -2,12 +2,14 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import per_setting_dict
+from pconcurrence import measures, witness
 from pconcurrence.cli import SWEEP_HEADER, _fmt, main
 from pconcurrence.measures import eof_pure, i_concurrence
 from pconcurrence.states import (
@@ -49,6 +51,25 @@ def test_measure_pconcurrence(qutrit_file, capsys):
     assert main(["measure", qutrit_file, "--measure", "pconcurrence"]) == 0
     out = capsys.readouterr().out
     assert "0.64" in out
+
+
+def test_measure_concurrence_of_a_two_qubit_ket_is_its_pconcurrence(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        amp = rng.normal(size=4) + 1j * rng.normal(size=4)
+        ket = BipartiteKet(2, 2, amp / np.linalg.norm(amp))
+        save_state(tmp_path / "ket.json", ket)
+        save_state(tmp_path / "rho.json", density_from_ket(ket))
+        capsys.readouterr()
+        payloads = {}
+        for state, measure in (("ket", "concurrence"), ("ket", "pconcurrence"), ("rho", "concurrence")):
+            argv = ["measure", str(tmp_path / f"{state}.json"), "--measure", measure, "--format", "json"]
+            assert main(argv) == 0
+            payloads[state, measure] = json.loads(capsys.readouterr().out)
+        on_ket, product = payloads["ket", "concurrence"], payloads["ket", "pconcurrence"]
+        assert (on_ket["raw"], on_ket["normalized"]) == (product["raw"], product["normalized"])
+        # A density keeps the Wootters kernel, which agrees to round-off.
+        assert payloads["rho", "concurrence"]["raw"] == pytest.approx(on_ket["raw"], abs=1e-12)
 
 
 def test_measure_max_entangled(max_qutrit_file, capsys):
@@ -665,6 +686,38 @@ def test_stacked_grid_equals_rows_built_one_point_at_a_time(tmp_path, capsys, co
     expected = grid_lines_one_point_at_a_time(n, command == "path")
     assert capsys.readouterr().out == f"wrote {len(expected) - 1} rows to {out}\n"
     assert out.read_text().splitlines() == expected
+
+
+def exact_qutrit_product(alpha, beta):
+    """The known-pairing product of the qutrit family at the binary values alpha, beta, as a fraction."""
+    amps = (Fraction(alpha), Fraction(1), Fraction(beta))
+    product = Fraction(1)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        x, y = amps[i], amps[j]
+        product *= 2 * x * y / (x * x + y * y) if x * y else 0
+    return product
+
+
+@pytest.mark.parametrize("command", ["sweep", "path"])
+def test_grid_pconcurrence_matches_the_exact_product_to_1e_15(tmp_path, command):
+    out = tmp_path / "grid.csv"
+    assert main([command, "--grid-n", "50", "--out", str(out)]) == 0
+    for alpha, beta, p, *_ in parse_csv(out)[1]:
+        exact = exact_qutrit_product(alpha, beta)
+        if exact == 0:
+            assert p == 0.0
+        else:
+            assert abs(Fraction(p) - exact) <= 1e-15 * exact, f"({alpha}, {beta}): {p!r} vs {float(exact)!r}"
+
+
+@pytest.mark.parametrize("command", ["sweep", "path"])
+def test_grid_runs_no_wootters_kernel(tmp_path, monkeypatch, command):
+    calls = []
+    for module in (measures, witness):
+        kernel = module.wootters_concurrences
+        monkeypatch.setattr(module, "wootters_concurrences", lambda m, kernel=kernel: calls.append(1) or kernel(m))
+    assert main([command, "--grid-n", "4", "--out", str(tmp_path / "grid.csv")]) == 0
+    assert calls == []
 
 
 def test_simulate_reconstruct_witness_pipeline(tmp_path, max_qutrit_file, capsys):

@@ -671,15 +671,25 @@ def test_sector_fits_have_no_slow_tail(monkeypatch):
     # a solver that only crawls there takes up to 100. The likelihood
     # evaluations of every trial step count too: a polish that also takes
     # momentum and R rho R steps, or halves a Newton step whose first-order
-    # gain is already below TOL, makes ~1700 over these 40 fits.
+    # gain is already below TOL, makes ~1700 over these 40 fits. So do the
+    # eigenvalue projections of the gradient trials: a step length that
+    # doubles after every iteration, whatever the last trial's curvature,
+    # fails its first trial most of the time and makes ~815.
     gain, gains = tomography._Likelihood.gain, 0
+    project, projections = tomography._nearest_density, 0
 
     def counted_gain(*args):
         nonlocal gains
         gains += 1
         return gain(*args)
 
+    def counted_projection(m):
+        nonlocal projections
+        projections += 1
+        return project(m)
+
     monkeypatch.setattr(tomography._Likelihood, "gain", counted_gain)
+    monkeypatch.setattr(tomography, "_nearest_density", counted_projection)
     settings = family_settings("pairwise", 5, 5)
     for seed, decay in enumerate(np.linspace(8.0, 12.0, 4)):
         record = simulate_counts(density_from_ket(make_spdc_qudit(5, decay)), settings, 1000.0, 10.0, seed=seed)
@@ -689,6 +699,7 @@ def test_sector_fits_have_no_slow_tail(monkeypatch):
             assert all(history[i + 1] >= history[i] - 1e-9 for i in range(len(history) - 1))
             assert likelihood_certificate(sub, rho) <= 1e-3
     assert gains <= 1400
+    assert projections <= 760
 
 
 def test_sector_records_counts_and_shape():

@@ -27,10 +27,12 @@ from pconcurrence.witness import (
     WEIGHT_FLOOR,
     WitnessReport,
     identity_pairing,
+    ket_sector_concurrences,
     maximize_over_pairings,
     pconcurrence_known,
     pconcurrence_search,
     report_to_dict,
+    sector_concurrences,
     sector_pairs,
     sector_report,
     sector_states,
@@ -379,6 +381,51 @@ def test_ket_sector_blocks_equal_the_projector_blocks_exactly():
             assert np.array_equal(states, single[0][0]) and np.array_equal(weights, single[1][0])
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 3), st.integers(0, 2**32 - 1), st.floats(1e-7, 1e-5))
+def test_ket_kernel_equals_the_wootters_kernel_on_ket_sectors(d, n, seed, tiny):
+    # Each amplitude is zero, tiny or of order one, so the sectors of tiny
+    # and zero amplitudes have weights on both sides of WEIGHT_FLOOR.
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=(n, d * d)) + 1j * rng.normal(size=(n, d * d))
+    amp *= rng.choice([0.0, tiny, 1.0], p=[0.2, 0.5, 0.3], size=amp.shape)
+    amp[:, 0] += 1.0
+    kets = amp / np.linalg.norm(amp, axis=1, keepdims=True)
+    pairs = sector_pairs(d)
+    closed_form = ket_sector_concurrences(kets, (d, d), pairs)
+    states, weights = sector_states(kets, (d, d), pairs)
+    assert closed_form.shape == (n, len(pairs))
+    assert np.abs(closed_form - sector_concurrences(states, weights)).max() <= 1e-14
+    assert ((closed_form > 0) <= (weights >= WEIGHT_FLOOR)).all()
+
+
+def test_ket_kernel_scores_sectors_below_the_weight_floor_zero():
+    # (|00> + |11> + t |01> + t |22>) / norm: the maximally entangled pair in
+    # the sector (0,2)_A x (1,2)_B weighs 2 t^2 / (2 + 2 t^2).
+    pairs = [(IndexPair(0, 1), IndexPair(0, 1)), (IndexPair(0, 2), IndexPair(1, 2))]
+    for weight, expected in ((0.99 * WEIGHT_FLOOR, 0.0), (1.01 * WEIGHT_FLOOR, 1.0)):
+        ket = np.zeros(9, dtype=complex)
+        ket[[0, 4]] = 1.0
+        ket[[1, 8]] = math.sqrt(weight)
+        ket /= np.linalg.norm(ket)
+        conc = ket_sector_concurrences(ket[None], (3, 3), pairs)
+        assert conc[0] == pytest.approx([1.0, expected], abs=1e-12)
+    with pytest.raises(ValueError, match=r"sector indices exceed dims \(3, 3\)"):
+        ket_sector_concurrences(ket[None], (3, 3), [(IndexPair(0, 3), IndexPair(0, 1))])
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_search_on_a_ket_and_on_its_density_picks_the_same_pairing(d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(3):
+        ket = random_ket(rng, d)
+        on_ket, on_density = pconcurrence_search(ket), pconcurrence_search(density_from_ket(ket))
+        assert on_ket.pairing_used == on_density.pairing_used
+        for row, ref in zip(on_ket.subspace_rows, on_density.subspace_rows):
+            assert abs(row.concurrence - ref.concurrence) <= 1e-12
+        assert on_ket.pconcurrence == pytest.approx(on_density.pconcurrence, rel=1e-11, abs=1e-15)
+
+
 def test_report_json_shape():
     report = pconcurrence_known(qutrit_density(0.5, 0.5), identity_pairing(3))
     obj = report_to_dict(report)
@@ -446,7 +493,8 @@ def test_search_table_equals_single_sector_results_exactly():
             rho = random_density(rng, d, rank, sparse=d >= 4 and rank <= 3)
             pairs = sector_pairs(d)
             (states,), (weights,) = sector_states(rho.matrix[None], (d, d), pairs)
-            table = {(r.a, r.b): r for r in sector_report(pairs, states, weights).subspace_rows}
+            rows = sector_report(pairs, states, weights, sector_concurrences(states, weights)).subspace_rows
+            table = {(r.a, r.b): r for r in rows}
             assert len(table) == len(pairs)
             for (a, b), row in table.items():
                 ref = reference_sector(rho, a, b)
@@ -509,7 +557,8 @@ def test_known_on_a_record_scores_the_record_estimates_of_any_bijection(noisy_qu
     pairing = tuple((pairs[i], pairs[j]) for i, j in enumerate((1, 2, 0)))
     report = pconcurrence_known(noisy_qutrit_record, pairing)
     assert report.pairing_used == pairing
-    assert report.subspace_rows == sector_report(pairing, *sector_estimates(noisy_qutrit_record, pairing)).subspace_rows
+    states, weights = sector_estimates(noisy_qutrit_record, pairing)
+    assert report.subspace_rows == sector_report(pairing, states, weights, sector_concurrences(states, weights)).subspace_rows
 
 
 def test_known_on_a_record_checks_the_pairing(noisy_qutrit_record):
