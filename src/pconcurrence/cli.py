@@ -45,7 +45,7 @@ from .witness import (
     WitnessReport,
     evaluate_measure,
     identity_pairing,
-    ket_sector_concurrences,
+    ket_sectors,
     normalize_measure,
     pconcurrence_known,
     pconcurrence_search,
@@ -99,18 +99,13 @@ def _write_grid(args: argparse.Namespace, path: bool) -> int:
     steps = [i / args.grid_n for i in range(args.grid_n + 1)]
     grid = np.array([(a, b) for a in steps for b in ([1.0] if path else steps)])
     kets = spdc_qutrit_amplitudes(grid[:, 0], grid[:, 1])
-    pairing = identity_pairing(3)
-    # Blocks of grid-n + 1 points, one alpha row of the sweep or the whole
-    # path: a few batched passes, without holding every sector stack at once.
-    columns = []
-    for block in np.split(kets, len(kets) // (args.grid_n + 1)):
-        rho_a = reduced_a_of_kets(block, 3)
-        columns.append([
-            ket_sector_concurrences(block, (3, 3), pairing).prod(axis=1),
-            normalize_measure(eof_of_reduced(rho_a), "eof", 3),
-            normalize_measure(i_concurrence_of_reduced(rho_a), "i_concurrence", 3),
-        ])
-    rows = np.column_stack([grid, np.concatenate(columns, axis=1).T]).tolist()
+    rho_a = reduced_a_of_kets(kets, 3)
+    rows = np.column_stack([
+        grid,
+        ket_sectors(kets, (3, 3), identity_pairing(3))[1].prod(axis=1),
+        normalize_measure(eof_of_reduced(rho_a), "eof", 3),
+        normalize_measure(i_concurrence_of_reduced(rho_a), "i_concurrence", 3),
+    ]).tolist()
     lines = [SWEEP_HEADER] + [",".join(_fmt(v) for v in row) for row in rows]
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")

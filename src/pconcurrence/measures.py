@@ -4,7 +4,8 @@ Concurrence applies to two-qubit states (pure or mixed) and is evaluated
 on (M, 4, 4) stacks by one batched kernel, wootters_concurrences; the
 I-concurrence and entanglement of formation are pure-state measures in
 arbitrary dimensions, evaluated on (N, d, d) stacks of reduced states by
-i_concurrence_of_reduced and eof_of_reduced. The named measures of the
+i_concurrence_of_reduced and eof_of_reduced. Fidelities of two-qubit
+stacks to the Bell state are bell_fidelities. The named measures of the
 CLI, with their normalizations, are witness.MEASURES.
 """
 
@@ -147,9 +148,14 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
-def ket_fidelity(m: np.ndarray, v: np.ndarray) -> float:
-    """<v| m |v> for a density matrix m and a unit vector v, clipped into [0, 1]."""
-    return float(min(1.0, max(0.0, complex(np.vdot(v, m @ v)).real)))
+def bell_fidelities(states: np.ndarray) -> np.ndarray:
+    """Fidelities <Phi| sigma |Phi> of a (..., 4, 4) stack of two-qubit states to Phi = (|00> + |11>)/sqrt(2).
+
+    For Hermitian sigma that is (sigma_00 + sigma_33) / 2 + Re sigma_03,
+    clipped into [0, 1].
+    """
+    f = (states[..., 0, 0].real + states[..., 3, 3].real) / 2 + states[..., 0, 3].real
+    return np.fmin(1.0, np.fmax(0.0, f))
 
 
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -830,7 +830,7 @@ def sector_estimates(
     The weight estimate is the total sector frequency / 9: the 36 subspace
     projectors of a pairwise record sum to 9 I. A sector whose weight is
     below WEIGHT_FLOOR, one without counts among them, is not fitted and its
-    state stays zero: witness.sector_report scores it 0 without reading it.
+    state stays zero: witness.sector_table scores it 0 in every column.
     """
     states = np.zeros((len(pairs), 4, 4), dtype=complex)
     weights = np.zeros(len(pairs))

@@ -9,12 +9,13 @@ over all K! pairings is taken exactly, as a linear-assignment problem on
 log-concurrences, solved here in numpy by shortest augmenting paths.
 
 pconcurrence_known and pconcurrence_search take a state or a tomography
-record. Its sectors come as a stack, from sector_states (one gather from
-a ket or density, a stack of one) or tomography.sector_estimates (one MLE
-fit each), with their concurrences: a ket's sectors are pure, and
-ket_sector_concurrences scores them in closed form; density and record
-sectors go through one batched Wootters kernel, sector_concurrences.
-sector_report builds the rows from the stack and its concurrences.
+record and turn it into one sector table, sector_table: three vectors of
+weights, concurrences and Bell fidelities, one entry per sector. A ket's
+sectors are pure, and ket_sectors scores them in closed form from one
+gather of its amplitudes; a density's blocks (sector_states, one fancy
+index) and a record's MLE estimates (tomography.sector_estimates) go
+through one batched Wootters kernel, sector_concurrences, and
+measures.bell_fidelities. sector_report builds the rows from the table.
 MEASURES is the table of named measures, this one among them.
 """
 
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import eof_pure, i_concurrence, ket_fidelity, wootters_concurrence, wootters_concurrences
-from .states import WEIGHT_FLOOR, BipartiteKet, DensityMatrix, IndexPair, as_density, enumerate_pairs, make_max_entangled
+from .measures import bell_fidelities, eof_pure, i_concurrence, wootters_concurrences
+from .states import WEIGHT_FLOOR, BipartiteKet, DensityMatrix, IndexPair, enumerate_pairs
 from .tomography import TomographyRecord, sector_estimates
 
 Source = BipartiteKet | DensityMatrix | TomographyRecord
@@ -102,30 +103,20 @@ def _sector_index(dims: tuple[int, int], pairs: Sequence[tuple[IndexPair, IndexP
 
 
 def sector_states(
-    stack: np.ndarray, dims: tuple[int, int], pairs: Sequence[tuple[IndexPair, IndexPair]]
+    rho: np.ndarray, dims: tuple[int, int], pairs: Sequence[tuple[IndexPair, IndexPair]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Restrict N states to each two-qubit sector (a on side A, b on side B).
+    """Restrict an (n, n) density to each two-qubit sector (a on side A, b on side B).
 
-    stack is an (N, dimA * dimB) stack of kets or an (N, n, n) stack of
-    densities. With B = P_a x P_b, P_a selecting rows (lo, hi) of side A,
-    returns the (N, M, 4, 4) stack of B rho B^dag / weight and the (N, M)
-    weights Tr(B rho B^dag). For densities the blocks are one fancy index
-    into rho; for kets each block is v v^dag with v = psi[idx], entry for
-    entry the block of the projector |psi><psi|, which is never formed.
-    Subspace coordinates map lo -> 0 and hi -> 1. States with weight below
-    WEIGHT_FLOOR stay unnormalized.
+    With B = P_a x P_b, P_a selecting rows (lo, hi) of side A, returns the
+    (M, 4, 4) stack of B rho B^dag / weight, one fancy index into rho, and
+    the (M,) weights Tr(B rho B^dag). Subspace coordinates map lo -> 0 and
+    hi -> 1. States with weight below WEIGHT_FLOOR stay unnormalized.
     """
     idx = _sector_index(dims, pairs)
-    # A gather leaves the stack axis innermost in memory; in C order each
-    # state's products and sums run as they do for a stack of one.
-    if stack.ndim == 2:
-        v = np.ascontiguousarray(stack[:, idx])
-        raw = v[..., :, None] * v[..., None, :].conj()
-    else:
-        raw = np.ascontiguousarray(stack[:, idx[:, :, None], idx[:, None, :]])
+    raw = rho[idx[:, :, None], idx[:, None, :]]
     raw = (raw + raw.conj().swapaxes(-1, -2)) / 2
     weights = np.trace(raw, axis1=-2, axis2=-1).real
-    return raw / np.where(weights < WEIGHT_FLOOR, 1.0, weights)[..., None, None], weights
+    return raw / np.where(weights < WEIGHT_FLOOR, 1.0, weights)[:, None, None], weights
 
 
 def sector_concurrences(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -139,59 +130,70 @@ def sector_concurrences(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return conc
 
 
-def ket_sector_concurrences(
+def ket_sectors(
     kets: np.ndarray, dims: tuple[int, int], pairs: Sequence[tuple[IndexPair, IndexPair]]
-) -> np.ndarray:
-    """(N, M) concurrences of each sector of an (N, dimA * dimB) ket stack, in closed form.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, concurrences and Bell fidelities of each sector of a ket or (N, n) ket stack, in closed form.
 
     A sector of a ket is the pure two-qubit ket v = psi[idx], of weight
-    |v|^2, and its concurrence is 2 |v_00 v_11 - v_01 v_10| / |v|^2
-    (Wootters, PRL 80, 2245 (1998)), clamped into [0, 1]. The weight is
-    summed as sector_states sums it, so both gate the same sectors at
-    WEIGHT_FLOOR, and those score 0. As there, the gather is made
-    C-contiguous, so no result depends on the stack around it.
+    |v|^2. Its concurrence is 2 |v_00 v_11 - v_01 v_10| / |v|^2 (Wootters,
+    PRL 80, 2245 (1998)) and its fidelity to (|00> + |11>)/sqrt(2) is
+    |v_00 + v_11|^2 / 2 |v|^2. Each is clamped into [0, 1], and a sector
+    with weight below WEIGHT_FLOOR scores 0 in all three. The gather is
+    made C-contiguous, so no result depends on the stack around it. Each
+    array has shape kets.shape[:-1] + (M,).
     """
-    v = np.ascontiguousarray(kets[:, _sector_index(dims, pairs)])
+    v = np.ascontiguousarray(kets[..., _sector_index(dims, pairs)])
     weights = (v * v.conj()).real.sum(axis=-1)
     live = weights >= WEIGHT_FLOOR
-    det = np.abs(v[..., 0] * v[..., 3] - v[..., 1] * v[..., 2])
-    return np.where(live, np.fmin(1.0, 2.0 * det / np.where(live, weights, 1.0)), 0.0)
+    norm = np.where(live, weights, 1.0)
+    conc = 2.0 * np.abs(v[..., 0] * v[..., 3] - v[..., 1] * v[..., 2]) / norm
+    fid = np.abs(v[..., 0] + v[..., 3]) ** 2 / (2.0 * norm)
+    return tuple(np.where(live, np.fmin(1.0, x), 0.0) for x in (weights, conc, fid))
 
 
-_BELL2 = make_max_entangled(2)
+def sector_table(
+    source: Source, pairs: Sequence[tuple[IndexPair, IndexPair]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sector table of a state or record: (M,) weights, concurrences and Bell fidelities of pairs.
+
+    A ket's sectors are scored in closed form (ket_sectors); a density's
+    blocks and a record's MLE estimates by the Wootters kernel and
+    bell_fidelities. A sector with weight below WEIGHT_FLOOR holds no
+    entanglement: it scores 0 in all three.
+    """
+    if isinstance(source, BipartiteKet):
+        return ket_sectors(source.amplitudes, (source.dim_a, source.dim_b), pairs)
+    if isinstance(source, TomographyRecord):
+        states, weights = sector_estimates(source, pairs)
+    else:
+        states, weights = sector_states(source.matrix, (source.dim_a, source.dim_b), pairs)
+    live = weights >= WEIGHT_FLOOR
+    fid = np.where(live, bell_fidelities(states), 0.0)
+    return np.where(live, weights, 0.0), sector_concurrences(states, weights), fid
 
 
 def sector_report(
     pairs: Sequence[tuple[IndexPair, IndexPair]],
-    states: np.ndarray,
     weights: np.ndarray,
     conc: np.ndarray,
+    fid: np.ndarray,
     search: bool = False,
 ) -> WitnessReport:
-    """The one row builder: pick and build rows from a scored stack of sector states.
+    """The one row builder: pick and build rows from a sector table.
 
-    states[i] (unit trace), weights[i] and conc[i] belong to sector
-    pairs[i], from sector_states or from tomography.sector_estimates, and
-    conc from sector_concurrences or ket_sector_concurrences. A sector with
-    weight below WEIGHT_FLOOR holds no entanglement: it scores concurrence
-    0, fidelity 0 and weight 0. Without search, pairs is the pairing and
+    weights[i], conc[i] and fid[i] belong to sector pairs[i], as
+    sector_table gives them. Without search, pairs is the pairing and
     every sector is a row; with it, pairs is the sector_pairs(d) table and
-    maximize_over_pairings picks the rows. Bell fidelities are evaluated
-    for the reported rows only.
+    maximize_over_pairings picks the rows.
     """
-    live = weights >= WEIGHT_FLOOR
     chosen = range(len(pairs))
     if search:
         k = math.isqrt(len(pairs))
         perm = maximize_over_pairings(conc.reshape(k, k))
         chosen = [i * k + j for i, j in enumerate(perm)]
     rows = tuple(
-        SubspaceRow(
-            *pairs[i],
-            concurrence=float(conc[i]),
-            fidelity=ket_fidelity(states[i], _BELL2.amplitudes) if live[i] else 0.0,
-            weight=float(weights[i]) if live[i] else 0.0,
-        )
+        SubspaceRow(*pairs[i], concurrence=float(conc[i]), fidelity=float(fid[i]), weight=float(weights[i]))
         for i in chosen
     )
     return WitnessReport(
@@ -214,26 +216,6 @@ def _check_pairing(pairing: Pairing, d: int) -> None:
             raise ValueError(f"pairing does not cover each side-{name} index pair exactly once")
 
 
-def _sectors(
-    source: Source, pairs: Sequence[tuple[IndexPair, IndexPair]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sector states, weights and concurrences of a state (a stack of one) or a record.
-
-    A ket's sectors are scored in closed form, a density's blocks and a
-    record's MLE estimates by the Wootters kernel.
-    """
-    if isinstance(source, TomographyRecord):
-        states, weights = sector_estimates(source, pairs)
-        return states, weights, sector_concurrences(states, weights)
-    dims = (source.dim_a, source.dim_b)
-    if isinstance(source, BipartiteKet):
-        kets = source.amplitudes[None]
-        (states,), (weights,) = sector_states(kets, dims, pairs)
-        return states, weights, ket_sector_concurrences(kets, dims, pairs)[0]
-    (states,), (weights,) = sector_states(as_density(source).matrix[None], dims, pairs)
-    return states, weights, sector_concurrences(states, weights)
-
-
 def pconcurrence_known(source: Source, pairing: Pairing) -> WitnessReport:
     """Product of subspace concurrences under a given pairing.
 
@@ -243,7 +225,7 @@ def pconcurrence_known(source: Source, pairing: Pairing) -> WitnessReport:
     weight; weights do not enter the product.
     """
     _check_pairing(pairing, side_dim(source.dim_a, source.dim_b))
-    return sector_report(pairing, *_sectors(source, pairing))
+    return sector_report(pairing, *sector_table(source, pairing))
 
 
 def maximize_over_pairings(conc: np.ndarray) -> tuple[int, ...]:
@@ -314,7 +296,7 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
 def pconcurrence_search(source: Source) -> WitnessReport:
     """Maximize the concurrence product over all K! subspace pairings of a state or record."""
     pairs = sector_pairs(side_dim(source.dim_a, source.dim_b))
-    return sector_report(pairs, *_sectors(source, pairs), search=True)
+    return sector_report(pairs, *sector_table(source, pairs), search=True)
 
 
 def report_to_dict(report: WitnessReport) -> dict:
@@ -337,10 +319,10 @@ def report_to_dict(report: WitnessReport) -> dict:
 
 
 def _concurrence(state: BipartiteKet | DensityMatrix) -> float:
-    """Concurrence of a 2 x 2 state: a ket's by the kernel its pconcurrence takes, a density's by Wootters."""
-    if isinstance(state, BipartiteKet) and (state.dim_a, state.dim_b) == (2, 2):
-        return float(ket_sector_concurrences(state.amplitudes[None], (2, 2), identity_pairing(2))[0, 0])
-    return wootters_concurrence(as_density(state))
+    """Concurrence of a 2 x 2 state: its pconcurrence, the concurrence of its one sector."""
+    if (state.dim_a, state.dim_b) != (2, 2):
+        raise ValueError(f"concurrence needs a 2x2 bipartite state, got ({state.dim_a}, {state.dim_b})")
+    return pconcurrence_known(state, identity_pairing(2)).pconcurrence
 
 
 # Each named measure: (its value on a state, its pure-state maximum in d

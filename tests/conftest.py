@@ -18,7 +18,7 @@ def _enumerated_search(rho):
     the maximum is 0 that is the identity.
     """
     table = sector_pairs(rho.dim_a)
-    (states,), (weights,) = sector_states(rho.matrix[None], (rho.dim_a, rho.dim_b), table)
+    states, weights = sector_states(rho.matrix, (rho.dim_a, rho.dim_b), table)
     live = weights >= WEIGHT_FLOOR
     conc = np.zeros(len(table))
     conc[live] = wootters_concurrences(states[live])

@@ -206,7 +206,7 @@ def test_criterion_6_noiseless_round_trips():
         for pair, sub_record in zip(pairs, sector_records(record3, [(pair, pair) for pair in pairs]), strict=True):
             assert len(sub_record.settings) == 36
             rho2 = reconstruct_mle(sub_record)
-            expected = DensityMatrix(2, 2, sector_states(qutrit_truth.matrix[None], (3, 3), [(pair, pair)])[0][0, 0])
+            expected = DensityMatrix(2, 2, sector_states(qutrit_truth.matrix, (3, 3), [(pair, pair)])[0][0])
             assert uhlmann_fidelity(rho2, expected) >= 0.999
 
 

@@ -22,6 +22,7 @@ from pconcurrence.states import (
     make_spdc_qudit,
     make_spdc_qutrit,
     save_state,
+    validate_density,
 )
 from pconcurrence.witness import identity_pairing, normalize_measure, pconcurrence_known, pconcurrence_search, report_to_dict
 from pconcurrence.tomography import Settings, load_record, save_record
@@ -68,8 +69,19 @@ def test_measure_concurrence_of_a_two_qubit_ket_is_its_pconcurrence(tmp_path, ca
             payloads[state, measure] = json.loads(capsys.readouterr().out)
         on_ket, product = payloads["ket", "concurrence"], payloads["ket", "pconcurrence"]
         assert (on_ket["raw"], on_ket["normalized"]) == (product["raw"], product["normalized"])
-        # A density keeps the Wootters kernel, which agrees to round-off.
+        # A density goes through the Wootters kernel, which agrees to round-off.
         assert payloads["rho", "concurrence"]["raw"] == pytest.approx(on_ket["raw"], abs=1e-12)
+    # On a mixed 2 x 2 density too, concurrence is its pconcurrence, to the last bit.
+    for i in range(40):
+        rank = 1 + i % 4
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        m = g @ g.conj().T
+        save_state(tmp_path / "rho.json", validate_density(m / np.trace(m).real, (2, 2)))
+        payloads = {}
+        for measure in ("concurrence", "pconcurrence"):
+            assert main(["measure", str(tmp_path / "rho.json"), "--measure", measure, "--format", "json"]) == 0
+            payloads[measure] = {**json.loads(capsys.readouterr().out), "measure": None}
+        assert payloads["concurrence"] == payloads["pconcurrence"], rank
 
 
 def test_measure_max_entangled(max_qutrit_file, capsys):

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pconcurrence.measures import (
+    bell_fidelities,
     eof_of_reduced,
     eof_pure,
     i_concurrence,
     i_concurrence_of_reduced,
-    ket_fidelity,
     purity,
     reduced_a_of_kets,
     spectra,
@@ -248,7 +248,7 @@ def test_subspace_concurrence_monotone_along_beta_zero():
     last = -1.0
     for alpha in np.linspace(0.02, 1.0, 25):
         rho = density_from_ket(make_spdc_qutrit(SpdcParams(alpha, 0.0)))
-        sub = sector_states(rho.matrix[None], (3, 3), [(IndexPair(0, 1), IndexPair(0, 1))])[0][0]
+        sub = sector_states(rho.matrix, (3, 3), [(IndexPair(0, 1), IndexPair(0, 1))])[0]
         c = float(wootters_concurrences(sub)[0])
         assert abs(c - 2 * alpha / (1 + alpha**2)) < 1e-10
         assert c > last
@@ -277,10 +277,9 @@ def test_purity_values():
 
 
 def test_fidelity_to_ket_values():
-    bell = BELL.amplitudes
-    assert abs(ket_fidelity(density_from_ket(BELL).matrix, bell) - 1.0) < 1e-12
-    assert abs(ket_fidelity(np.eye(4, dtype=complex) / 4, bell) - 0.25) < 1e-12
-    assert abs(ket_fidelity(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), bell) - 0.5) < 1e-12
+    # Bell, I/4 and |00><00| against the Bell state, as one stack.
+    states = np.stack([density_from_ket(BELL).matrix, np.eye(4) / 4, np.diag([1.0, 0.0, 0.0, 0.0])])
+    assert bell_fidelities(states) == pytest.approx([1.0, 0.25, 0.5], abs=1e-12)
 
 
 def test_uhlmann_self_fidelity():
@@ -318,7 +317,7 @@ def test_uhlmann_symmetric():
     rho = validate_density((m1 @ m1.conj().T) / np.trace(m1 @ m1.conj().T).real, (2, 2))
     sig = validate_density((m2 @ m2.conj().T) / np.trace(m2 @ m2.conj().T).real, (2, 2))
     assert abs(uhlmann_fidelity(rho, sig) - uhlmann_fidelity(sig, rho)) < 1e-8
-    assert abs(uhlmann_fidelity(rho, density_from_ket(BELL)) - ket_fidelity(rho.matrix, BELL.amplitudes)) < 1e-8
+    assert abs(uhlmann_fidelity(rho, density_from_ket(BELL)) - bell_fidelities(rho.matrix)) < 1e-8
 
 
 def test_evaluate_measure_dispatch():
@@ -384,4 +383,4 @@ def test_spectra_rank_drops_round_off():
 def test_fidelity_of_a_gated_state_is_clipped_not_refused():
     # Trace 1 + 5e-10 passes the DensityMatrix gate; <Bell|rho|Bell> is then above 1.
     rho = DensityMatrix(2, 2, density_from_ket(BELL).matrix * (1 + 5e-10))
-    assert ket_fidelity(rho.matrix, BELL.amplitudes) == 1.0
+    assert bell_fidelities(rho.matrix) == 1.0

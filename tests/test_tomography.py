@@ -729,7 +729,7 @@ def test_extract_commutes_with_projection():
     for pair in (IndexPair(0, 1), IndexPair(1, 2)):
         sub_record = sector_records(record, [(pair, pair)])[0]
         rho2 = reconstruct_mle(sub_record)
-        expected = DensityMatrix(2, 2, sector_states(rho_full.matrix[None], (3, 3), [(pair, pair)])[0][0, 0])
+        expected = DensityMatrix(2, 2, sector_states(rho_full.matrix, (3, 3), [(pair, pair)])[0][0])
         assert uhlmann_fidelity(rho2, expected) >= 0.999
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import white_noise_spdc
-from pconcurrence.measures import ket_fidelity, wootters_concurrences
+from pconcurrence.measures import bell_fidelities, wootters_concurrences
 from pconcurrence.states import (
     BipartiteKet,
     IndexPair,
@@ -21,13 +21,13 @@ from pconcurrence.states import (
     make_spdc_qutrit,
     validate_density,
 )
-from pconcurrence import tomography
+from pconcurrence import tomography, witness
 from pconcurrence.tomography import family_settings, sector_estimates, simulate_counts
 from pconcurrence.witness import (
     WEIGHT_FLOOR,
     WitnessReport,
     identity_pairing,
-    ket_sector_concurrences,
+    ket_sectors,
     maximize_over_pairings,
     pconcurrence_known,
     pconcurrence_search,
@@ -36,6 +36,7 @@ from pconcurrence.witness import (
     sector_pairs,
     sector_report,
     sector_states,
+    sector_table,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -89,8 +90,8 @@ def test_index_pair_ordering_enforced():
 
 def one_sector(rho, a, b):
     """sector_states of the single sector (a, b): its 4 x 4 state and its weight."""
-    states, weights = sector_states(rho.matrix[None], (rho.dim_a, rho.dim_b), [(a, b)])
-    return states[0, 0], float(weights[0, 0])
+    states, weights = sector_states(rho.matrix, (rho.dim_a, rho.dim_b), [(a, b)])
+    return states[0], float(weights[0])
 
 
 def concurrence(m):
@@ -367,20 +368,6 @@ def test_a_nonzero_product_certifies_no_dimension_beyond_schmidt_form():
     assert pconcurrence_known(ket, identity_pairing(3)).pconcurrence > 0.08
 
 
-def test_ket_sector_blocks_equal_the_projector_blocks_exactly():
-    rng = np.random.default_rng(23)
-    for d in range(2, 9):
-        kets = np.array([random_ket(rng, d).amplitudes for _ in range(4)])
-        pairs = sector_pairs(d)
-        from_kets = sector_states(kets, (d, d), pairs)
-        from_densities = sector_states(kets[:, :, None] * kets[:, None, :].conj(), (d, d), pairs)
-        for got, want in zip(from_kets, from_densities):
-            assert got.shape == want.shape and np.array_equal(got, want)
-        for ket, states, weights in zip(kets, *from_kets):
-            single = sector_states(density_from_ket(BipartiteKet(d, d, ket)).matrix[None], (d, d), pairs)
-            assert np.array_equal(states, single[0][0]) and np.array_equal(weights, single[1][0])
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 8), st.integers(1, 3), st.integers(0, 2**32 - 1), st.floats(1e-7, 1e-5))
 def test_ket_kernel_equals_the_wootters_kernel_on_ket_sectors(d, n, seed, tiny):
@@ -391,12 +378,18 @@ def test_ket_kernel_equals_the_wootters_kernel_on_ket_sectors(d, n, seed, tiny):
     amp *= rng.choice([0.0, tiny, 1.0], p=[0.2, 0.5, 0.3], size=amp.shape)
     amp[:, 0] += 1.0
     kets = amp / np.linalg.norm(amp, axis=1, keepdims=True)
+    # The reference is the projector |psi><psi|: its blocks, the Wootters
+    # kernel and bell_fidelities, gated at WEIGHT_FLOOR as sector_table gates them.
     pairs = sector_pairs(d)
-    closed_form = ket_sector_concurrences(kets, (d, d), pairs)
-    states, weights = sector_states(kets, (d, d), pairs)
-    assert closed_form.shape == (n, len(pairs))
-    assert np.abs(closed_form - sector_concurrences(states, weights)).max() <= 1e-14
-    assert ((closed_form > 0) <= (weights >= WEIGHT_FLOOR)).all()
+    weights, conc, fid = ket_sectors(kets, (d, d), pairs)
+    assert weights.shape == conc.shape == fid.shape == (n, len(pairs))
+    for i, ket in enumerate(kets):
+        states, ref_weights = sector_states(np.outer(ket, ket.conj()), (d, d), pairs)
+        live = ref_weights >= WEIGHT_FLOOR
+        assert np.abs(weights[i] - np.where(live, ref_weights, 0.0)).max() <= 1e-15
+        assert np.abs(conc[i] - sector_concurrences(states, ref_weights)).max() <= 1e-14
+        assert np.abs(fid[i] - np.where(live, bell_fidelities(states), 0.0)).max() <= 1e-14
+        assert ((weights[i] > 0) == live).all()
 
 
 def test_ket_kernel_scores_sectors_below_the_weight_floor_zero():
@@ -408,10 +401,31 @@ def test_ket_kernel_scores_sectors_below_the_weight_floor_zero():
         ket[[0, 4]] = 1.0
         ket[[1, 8]] = math.sqrt(weight)
         ket /= np.linalg.norm(ket)
-        conc = ket_sector_concurrences(ket[None], (3, 3), pairs)
-        assert conc[0] == pytest.approx([1.0, expected], abs=1e-12)
+        weights, conc, fid = ket_sectors(ket, (3, 3), pairs)
+        assert conc == pytest.approx([1.0, expected], abs=1e-12)
+        assert fid == pytest.approx([1.0, expected], abs=1e-12)
+        assert (weights[1] > 0) == (expected > 0)
     with pytest.raises(ValueError, match=r"sector indices exceed dims \(3, 3\)"):
-        ket_sector_concurrences(ket[None], (3, 3), [(IndexPair(0, 3), IndexPair(0, 1))])
+        ket_sectors(ket, (3, 3), [(IndexPair(0, 3), IndexPair(0, 1))])
+
+
+def test_a_ket_witness_builds_one_index_and_no_block(monkeypatch):
+    # A ket's sectors are scored from one gather of its amplitudes: no 4 x 4
+    # block is built, and the sector index is built once per witness.
+    def no_blocks(*args):
+        raise AssertionError("sector_states was called on a ket")
+
+    index_calls = []
+    index = witness._sector_index
+    monkeypatch.setattr(witness, "sector_states", no_blocks)
+    monkeypatch.setattr(witness, "_sector_index", lambda *args: index_calls.append(1) or index(*args))
+    rng = np.random.default_rng(67)
+    for d in range(2, 9):
+        ket = random_ket(rng, d)
+        for run in (lambda: pconcurrence_known(ket, identity_pairing(d)), lambda: pconcurrence_search(ket)):
+            index_calls.clear()
+            run()
+            assert len(index_calls) == 1
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
@@ -486,14 +500,12 @@ def random_density(rng, d, rank, sparse):
 
 def test_search_table_equals_single_sector_results_exactly():
     rng = np.random.default_rng(61)
-    bell = make_max_entangled(2).amplitudes
     zero_support = 0
     for d in range(2, 9):
         for rank in (1, 2, 3, d * d):
             rho = random_density(rng, d, rank, sparse=d >= 4 and rank <= 3)
             pairs = sector_pairs(d)
-            (states,), (weights,) = sector_states(rho.matrix[None], (d, d), pairs)
-            rows = sector_report(pairs, states, weights, sector_concurrences(states, weights)).subspace_rows
+            rows = sector_report(pairs, *sector_table(rho, pairs)).subspace_rows
             table = {(r.a, r.b): r for r in rows}
             assert len(table) == len(pairs)
             for (a, b), row in table.items():
@@ -504,8 +516,9 @@ def test_search_table_equals_single_sector_results_exactly():
                     assert one_sector(rho, a, b)[1] < WEIGHT_FLOOR
                     continue
                 sub, weight = one_sector(rho, a, b)
-                single = (concurrence(sub), ket_fidelity(sub, bell), weight)
-                assert (row.concurrence, row.fidelity, row.weight) == single == ref
+                assert (row.concurrence, row.weight) == (concurrence(sub), weight) == (ref[0], ref[2])
+                # bell_fidelities adds the entries the vdot adds, in another order.
+                assert abs(row.fidelity - ref[1]) <= 1e-15
             for row in pconcurrence_search(rho).subspace_rows:
                 assert row == table[(row.a, row.b)]
     assert zero_support > 0
@@ -558,7 +571,9 @@ def test_known_on_a_record_scores_the_record_estimates_of_any_bijection(noisy_qu
     report = pconcurrence_known(noisy_qutrit_record, pairing)
     assert report.pairing_used == pairing
     states, weights = sector_estimates(noisy_qutrit_record, pairing)
-    assert report.subspace_rows == sector_report(pairing, states, weights, sector_concurrences(states, weights)).subspace_rows
+    assert (weights >= WEIGHT_FLOOR).all()
+    table = weights, sector_concurrences(states, weights), bell_fidelities(states)
+    assert report.subspace_rows == sector_report(pairing, *table).subspace_rows
 
 
 def test_known_on_a_record_checks_the_pairing(noisy_qutrit_record):
@@ -570,8 +585,8 @@ def test_known_on_a_record_checks_the_pairing(noisy_qutrit_record):
 
 def test_sectors_below_the_weight_floor_are_not_fitted(monkeypatch):
     # A rate * time far above the counts puts every sector weight below
-    # WEIGHT_FLOOR. sector_report scores such a sector 0 without reading its
-    # state, so it is not fitted, and the report is the all-zero one.
+    # WEIGHT_FLOOR. sector_table scores such a sector 0 whatever its state,
+    # so it is not fitted, and the report is the all-zero one.
     rho = density_from_ket(make_spdc_qudit(3, 1.5))
     record = simulate_counts(rho, family_settings("pairwise", 3, 3), 1000.0, 10.0, seed=0)
     faint = dataclasses.replace(record, rate_hz=1e17)
