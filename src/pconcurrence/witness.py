@@ -12,15 +12,25 @@ pconcurrence_known and pconcurrence_search take a state or a tomography
 record and turn it into one sector table, sector_table: three vectors of
 weights, concurrences and Bell fidelities, one entry per sector. A ket's
 sectors are pure, and ket_sectors scores them in closed form from one
-gather of its amplitudes; a density's blocks (sector_states, one fancy
-index) and a record's MLE estimates (tomography.sector_estimates) go
-through one batched Wootters kernel, sector_concurrences, and
+gather of its amplitudes; a density's blocks (sector_states, one gather)
+and a record's MLE estimates (tomography.sector_estimates) go through one
+batched Wootters kernel, sector_concurrences, and
 measures.bell_fidelities. sector_report builds the rows from the table.
+
+A pairing search scores all K^2 sectors, except on a density whose
+blocks certify a pairing. concurrence_bounds bounds each sector's
+concurrence from the entries of its block, with no eigensolve: from
+above by 2 (sqrt(s00 s33) + sqrt(s11 s22)), or 0 inside the separable
+ball Tr s^2 <= 1/3 (Zyczkowski, Horodecki, Sanpera & Lewenstein, PRA 58,
+883 (1998)), and from below by the concurrence of its X part. When
+certified_pairing proves from them that one pairing beats every other,
+only its K sectors are scored. The report is the same either way.
 MEASURES is the table of named measures, this one among them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -28,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import bell_fidelities, eof_pure, i_concurrence, wootters_concurrences
-from .states import WEIGHT_FLOOR, BipartiteKet, DensityMatrix, IndexPair, enumerate_pairs
+from .states import PSD_ATOL, WEIGHT_FLOOR, BipartiteKet, DensityMatrix, IndexPair, enumerate_pairs
 from .tomography import TomographyRecord, sector_estimates
 
 Source = BipartiteKet | DensityMatrix | TomographyRecord
@@ -38,6 +48,10 @@ OVERSHOOT_ATOL = 1e-9
 # One forbidden edge must outweigh any achievable log-product: |log C| is
 # bounded by ~700 per factor at double precision, K <= 2016 for d <= 64.
 _FORBIDDEN_LOG = -1e18
+
+# The log-product lead by which certified_pairing's bounds must separate its
+# pairing from every other one, far above the round-off of a K-term log sum.
+CERTIFICATE_GAP = 1e-9
 
 
 class SubspaceSupportError(ValueError):
@@ -88,14 +102,31 @@ def identity_pairing(d: int) -> Pairing:
     return tuple(zip(pairs, pairs))
 
 
-def sector_pairs(d: int) -> list[tuple[IndexPair, IndexPair]]:
-    """All K^2 (A-pair, B-pair) sectors, A-pair major: the pairing-search table."""
+@functools.cache
+def _search_index(d: int) -> np.ndarray:
+    """The (K^2, 4) _sector_index of sector_pairs(d): the (K, 2) table of (lo, hi) pairs broadcast against itself."""
+    t = np.array([(p.lo, p.hi) for p in enumerate_pairs(d)])
+    index = (t[:, None, :, None] * d + t[None, :, None, :]).reshape(-1, 4)
+    index.flags.writeable = False
+    return index
+
+
+@functools.cache
+def sector_pairs(d: int) -> tuple[tuple[IndexPair, IndexPair], ...]:
+    """All K^2 (A-pair, B-pair) sectors, A-pair major: the pairing-search table, one shared tuple per d."""
     pairs = enumerate_pairs(d)
-    return [(a, b) for a in pairs for b in pairs]
+    return tuple((a, b) for a in pairs for b in pairs)
 
 
 def _sector_index(dims: tuple[int, int], pairs: Sequence[tuple[IndexPair, IndexPair]]) -> np.ndarray:
-    """(M, 4) flat indices of each sector's basis (lo lo, lo hi, hi lo, hi hi) in a dimA * dimB ket."""
+    """(M, 4) flat indices of each sector's basis (lo lo, lo hi, hi lo, hi hi) in a dimA * dimB ket.
+
+    The search table sector_pairs(d) takes its cached index, _search_index;
+    any other list is read pair by pair.
+    """
+    d = dims[0]
+    if dims[1] == d >= 2 and pairs is sector_pairs(d):
+        return _search_index(d)
     lohi = np.array([(a.lo, a.hi, b.lo, b.hi) for a, b in pairs]).reshape(-1, 4)
     if (lohi[:, 1] >= dims[0]).any() or (lohi[:, 3] >= dims[1]).any():
         raise ValueError(f"sector indices exceed dims ({dims[0]}, {dims[1]})")
@@ -108,13 +139,14 @@ def sector_states(
     """Restrict an (n, n) density to each two-qubit sector (a on side A, b on side B).
 
     With B = P_a x P_b, P_a selecting rows (lo, hi) of side A, returns the
-    (M, 4, 4) stack of B rho B^dag / weight, one fancy index into rho, and
-    the (M,) weights Tr(B rho B^dag). Subspace coordinates map lo -> 0 and
-    hi -> 1. States with weight below WEIGHT_FLOOR stay unnormalized.
+    (M, 4, 4) stack of B rho B^dag / weight, one gather from the Hermitian
+    part of rho, and the (M,) weights Tr(B rho B^dag). Subspace coordinates
+    map lo -> 0 and hi -> 1. States with weight below WEIGHT_FLOOR stay
+    unnormalized.
     """
     idx = _sector_index(dims, pairs)
-    raw = rho[idx[:, :, None], idx[:, None, :]]
-    raw = (raw + raw.conj().swapaxes(-1, -2)) / 2
+    herm = (rho + rho.conj().T) / 2
+    raw = herm.ravel().take(idx[:, :, None] * len(rho) + idx[:, None, :])
     weights = np.trace(raw, axis1=-2, axis2=-1).real
     return raw / np.where(weights < WEIGHT_FLOOR, 1.0, weights)[:, None, None], weights
 
@@ -168,6 +200,11 @@ def sector_table(
         states, weights = sector_estimates(source, pairs)
     else:
         states, weights = sector_states(source.matrix, (source.dim_a, source.dim_b), pairs)
+    return _block_table(states, weights)
+
+
+def _block_table(states: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sector table of (M, 4, 4) sector states and their (M,) weights: Wootters kernel and bell_fidelities."""
     live = weights >= WEIGHT_FLOOR
     fid = np.where(live, bell_fidelities(states), 0.0)
     return np.where(live, weights, 0.0), sector_concurrences(states, weights), fid
@@ -293,10 +330,77 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
+def concurrence_bounds(states: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the Wootters kernel's concurrence of each sector state, from its entries.
+
+    For a two-qubit state sigma, C <= 2 (sqrt(s00 s33) + sqrt(s11 s22))
+    (convexity over pure decompositions and Cauchy-Schwarz), and C = 0
+    when Tr sigma^2 <= 1/3, inside the separable ball (Zyczkowski,
+    Horodecki, Sanpera & Lewenstein, PRA 58, 883 (1998)). The X part
+    (sigma + Z x Z sigma Z x Z) / 2 mixes local-unitary images of sigma, so
+    its concurrence 2 max(0, |s03| - sqrt(s11 s22), |s12| - sqrt(s00 s33))
+    is a lower bound. Each bound is widened for the kernel: a block may keep
+    a negative eigenvalue down to PSD_ATOL / weight, which the kernel drops,
+    and that moves each bound by at most 4 sqrt(x) + 8 x for x = |PSD_ATOL| /
+    weight, far above the kernel's round-off; the lower bound is left
+    negative where it falls below 0. Sectors below WEIGHT_FLOOR score 0,
+    and both bounds read 0 there.
+    """
+    live = weights >= WEIGHT_FLOOR
+    slack = -PSD_ATOL / np.where(live, weights, 1.0)
+    margin = 4.0 * np.sqrt(slack) + 8.0 * slack
+    pops = np.fmax(0.0, np.diagonal(states, axis1=1, axis2=2).real)
+    outer, inner = np.sqrt(pops[:, 0] * pops[:, 3]), np.sqrt(pops[:, 1] * pops[:, 2])
+    entries = states.view(float).reshape(len(states), -1)
+    entangled = np.einsum("ij,ij->i", entries, entries) > 1.0 / 3.0  # Tr sigma^2 = sum |s_ij|^2
+    upper = np.where(entangled, 2.0 * (outer + inner), 0.0) + margin
+    lower = 2.0 * np.maximum(np.abs(states[:, 0, 3]) - inner, np.abs(states[:, 1, 2]) - outer) - margin
+    return np.where(live, lower, 0.0), np.where(live, upper, 0.0)
+
+
+def certified_pairing(lower: np.ndarray, upper: np.ndarray) -> np.ndarray | None:
+    """The pairing that bounds on a (K, K) concurrence table prove the one optimum, or None.
+
+    The candidate pi0 takes each row's largest upper bound. With costs
+    c = -log(upper) and the row minima u as duals (the column duals are 0
+    once pi0 is a bijection), every reduced cost c - u is >= 0 and is 0 on
+    pi0, so any other bijection costs at least sum(u) plus the smallest
+    reduced cost off pi0. When that exceeds -sum(log lower[pi0]) by
+    CERTIFICATE_GAP, every other bijection has a strictly smaller product
+    of concurrences than pi0, whichever values the kernel gives within the
+    bounds.
+    """
+    k = len(upper)
+    perm = upper.argmax(axis=1)
+    best = lower[np.arange(k), perm]
+    if np.bincount(perm, minlength=k).max() > 1 or not (best > 0.0).all():
+        return None
+    with np.errstate(divide="ignore"):
+        cost = -np.log(upper)
+    u = cost[np.arange(k), perm]
+    reduced = cost - u[:, None]
+    reduced[np.arange(k), perm] = np.inf
+    return perm if u.sum() + reduced.min() > -np.log(best).sum() + CERTIFICATE_GAP else None
+
+
 def pconcurrence_search(source: Source) -> WitnessReport:
-    """Maximize the concurrence product over all K! subspace pairings of a state or record."""
+    """Maximize the concurrence product over all K! subspace pairings of a state or record.
+
+    A density's K^2 sector blocks are gathered first. When their
+    concurrence_bounds certify a pairing (certified_pairing), only its K
+    sectors are scored; the others stay 0, so the assignment returns that
+    pairing. Otherwise, and for kets and records, all K^2 are scored.
+    """
     pairs = sector_pairs(side_dim(source.dim_a, source.dim_b))
-    return sector_report(pairs, *sector_table(source, pairs), search=True)
+    if not isinstance(source, DensityMatrix):
+        return sector_report(pairs, *sector_table(source, pairs), search=True)
+    states, weights = sector_states(source.matrix, (source.dim_a, source.dim_b), pairs)
+    k = math.isqrt(len(pairs))
+    perm = certified_pairing(*(b.reshape(k, k) for b in concurrence_bounds(states, weights)))
+    rows = np.arange(len(pairs)) if perm is None else np.arange(k) * k + perm
+    table = np.zeros((3, len(pairs)))
+    table[:, rows] = _block_table(states[rows], weights[rows])
+    return sector_report(pairs, *table, search=True)
 
 
 def report_to_dict(report: WitnessReport) -> dict:

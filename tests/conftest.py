@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pconcurrence.measures import wootters_concurrences
-from pconcurrence.states import as_density, make_spdc_qudit, validate_density
+from pconcurrence.states import DensityMatrix, as_density, make_spdc_qudit, validate_density
 from pconcurrence.tomography import TomographyRecord, born_probabilities
 from pconcurrence.witness import WEIGHT_FLOOR, sector_pairs, sector_states
 
@@ -42,6 +42,22 @@ def white_noise_spdc(d, decay, visibility):
     psi = make_spdc_qudit(d, decay).amplitudes
     m = visibility * np.outer(psi, psi.conj()) + (1 - visibility) * np.eye(d * d) / (d * d)
     return validate_density(m, (d, d)), np.abs(psi[:: d + 1])
+
+
+def gated_edge_density(weight, perturb):
+    """A d = 3 state with one eigenvalue at -perturb, inside its (1,2)x(1,2) sector.
+
+    It is sqrt(1 - weight) |0,0> + sqrt(weight / 2) (|1,1> + |2,2>), with
+    perturb moved from |1,2> to |1,0>. The eigenvector of -perturb is |1,2>,
+    so that sector, of weight weight - perturb, has a block eigenvalue of
+    -perturb / (weight - perturb).
+    """
+    psi = np.zeros(9)
+    psi[[0, 4, 8]] = np.sqrt([1 - weight, weight / 2, weight / 2])
+    m = np.outer(psi, psi).astype(complex)
+    m[5, 5] -= perturb  # |1,2>
+    m[3, 3] += perturb  # |1,0> keeps the trace
+    return DensityMatrix(3, 3, m)
 
 
 @pytest.fixture()

@@ -8,13 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import per_setting_dict
+from conftest import gated_edge_density, per_setting_dict
 from pconcurrence import measures, witness
 from pconcurrence.cli import SWEEP_HEADER, _fmt, main
 from pconcurrence.measures import eof_pure, i_concurrence
 from pconcurrence.states import (
     BipartiteKet,
-    DensityMatrix,
     SpdcParams,
     density_from_ket,
     load_state,
@@ -523,18 +522,9 @@ def test_state_entry_too_large_for_a_float_is_an_error(tmp_path, capsys, kind):
 
 
 def edge_state_file(tmp_path, perturb):
-    """A d = 3 state whose (1,2)x(1,2) sector has weight 2e-4, with one eigenvalue at -perturb.
-
-    The eigenvector of -perturb is |1,2>, inside that sector, so the sector
-    block divided by its weight has an eigenvalue of -perturb / 2e-4.
-    """
-    psi = np.zeros(9)
-    psi[[0, 4, 8]] = np.sqrt([1 - 2e-4, 1e-4, 1e-4])
-    m = np.outer(psi, psi).astype(complex)
-    m[5, 5] -= perturb  # |1,2>
-    m[3, 3] += perturb  # |1,0> keeps the trace
+    """The gated_edge_density whose (1,2)x(1,2) sector has weight 2e-4, saved to a file."""
     path = tmp_path / f"edge_{perturb}.json"
-    save_state(path, DensityMatrix(3, 3, m))
+    save_state(path, gated_edge_density(2e-4, perturb))
     return str(path)
 
 
@@ -552,13 +542,8 @@ def test_witness_accepts_every_gated_state(tmp_path, pairing):
 @pytest.mark.parametrize("pairing", ["known", "search"])
 def test_witness_concurrences_of_gated_states_stay_in_unit_interval(tmp_path, pairing):
     """A sector of weight 1e-10 whose block has eigenvalues {6, 0, 0, -5} scores the concurrence 1 of its positive part."""
-    psi = np.zeros(9)
-    psi[[0, 4, 8]] = np.sqrt([1 - 6e-10, 3e-10, 3e-10])
-    m = np.outer(psi, psi).astype(complex)
-    m[5, 5] -= 5e-10  # |1,2>
-    m[3, 3] += 5e-10  # |1,0> keeps the trace
     weak = tmp_path / "weak.json"
-    save_state(weak, DensityMatrix(3, 3, m))
+    save_state(weak, gated_edge_density(6e-10, 5e-10))
     for path in (str(weak), edge_state_file(tmp_path, 5e-10)):
         out = tmp_path / "report.json"
         assert main(["witness", path, "--pairing", pairing, "--out", str(out)]) == 0

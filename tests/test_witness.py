@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import white_noise_spdc
+from conftest import gated_edge_density, white_noise_spdc
 from pconcurrence.measures import bell_fidelities, wootters_concurrences
 from pconcurrence.states import (
     BipartiteKet,
@@ -26,6 +26,8 @@ from pconcurrence.tomography import family_settings, sector_estimates, simulate_
 from pconcurrence.witness import (
     WEIGHT_FLOOR,
     WitnessReport,
+    certified_pairing,
+    concurrence_bounds,
     identity_pairing,
     ket_sectors,
     maximize_over_pairings,
@@ -524,8 +526,12 @@ def test_search_table_equals_single_sector_results_exactly():
     assert zero_support > 0
 
 
+# (d, decay, visibility) of white-noise down-conversion states with a closed-form product.
+WHITE_NOISE_SPDC = ((6, 4.5, 0.93), (7, 6.0, 0.97), (8, 7.5, 0.91), (8, 5.0, 1.0))
+
+
 def test_white_noise_spdc_matches_x_state_closed_form():
-    for d, decay, v in ((6, 4.5, 0.93), (7, 6.0, 0.97), (8, 7.5, 0.91), (8, 5.0, 1.0)):
+    for d, decay, v in WHITE_NOISE_SPDC:
         rho, c = white_noise_spdc(d, decay, v)
         q = (1 - v) / (d * d)
         expected = math.prod(
@@ -553,6 +559,155 @@ def test_kernel_renormalizes_a_block_with_a_dropped_negative_eigenvalue():
     for rho in (bell, 0.8 * bell + 0.2 * np.diag([1.0, 0.0, 0.0, 0.0])):
         block = 6.0 * rho - 5.0 * np.diag([0.0, 1.0, 0.0, 0.0])
         assert wootters_concurrences(block[None]) == pytest.approx(wootters_concurrences(rho[None]), abs=1e-12)
+
+
+def test_kernel_values_do_not_depend_on_the_stack():
+    # The certified search scores K blocks of the K^2 the full search scores:
+    # each value must be the one the whole stack gives, bit for bit.
+    rng = np.random.default_rng(71)
+    stack = []
+    for rank in rng.integers(1, 5, size=300):
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        m = g @ g.conj().T
+        stack.append(m / np.trace(m).real)
+    stack = np.array(stack)
+    whole = wootters_concurrences(stack)
+    for size in (1, 7, 28, 150):
+        rows = np.sort(rng.choice(len(stack), size=size, replace=False))
+        assert (wootters_concurrences(stack[rows]) == whole[rows]).all()
+
+
+# --- the certified pairing search on densities ----------------------------------
+
+
+def shifted_bell_mixture(d):
+    """(Phi + Phi') / 2, Phi = sum_i |i,i> / sqrt(d) and Phi' = sum_i |i,i+1 mod d> / sqrt(d).
+
+    Several pairings reach its positive maximum, so no bound can certify one.
+    """
+    phi = np.eye(d).ravel() / math.sqrt(d)
+    shifted = np.roll(np.eye(d), 1, axis=1).ravel() / math.sqrt(d)
+    return validate_density((np.outer(phi, phi) + np.outer(shifted, shifted)) / 2, (d, d))
+
+
+def search_corpus():
+    """White-noise spdc at d = 3..8, the random corpus of the exact-table test, the ties and the gated edge states."""
+    corpus = [white_noise_spdc(d, decay, v)[0] for d in range(3, 9) for decay in (1.5, 6.0) for v in (0.9, 1.0)]
+    rng = np.random.default_rng(61)  # as in test_search_table_equals_single_sector_results_exactly
+    corpus += [random_density(rng, d, rank, sparse=d >= 4 and rank <= 3) for d in range(2, 9) for rank in (1, 2, 3, d * d)]
+    corpus += [shifted_bell_mixture(d) for d in (3, 4, 5)]
+    corpus += [gated_edge_density(weight, perturb) for weight, perturb in ((2e-4, 0.0), (2e-4, 5e-10), (6e-10, 5e-10))]
+    return corpus
+
+
+def bounds_table(rho):
+    """(K, K) lower and upper concurrence bounds of every sector of rho, and its (K, K) Wootters table."""
+    d = rho.dim_a
+    k = d * (d - 1) // 2
+    states, weights = sector_states(rho.matrix, (d, d), sector_pairs(d))
+    lower, upper = concurrence_bounds(states, weights)
+    return lower.reshape(k, k), upper.reshape(k, k), sector_concurrences(states, weights).reshape(k, k)
+
+
+def full_table_report(rho):
+    pairs = sector_pairs(rho.dim_a)
+    return sector_report(pairs, *sector_table(rho, pairs), search=True)
+
+
+def test_density_search_equals_the_full_table_report():
+    corpus = search_corpus()
+    certified = 0
+    for rho in corpus:
+        assert pconcurrence_search(rho) == full_table_report(rho)
+        certified += certified_pairing(*bounds_table(rho)[:2]) is not None
+    assert 0 < certified < len(corpus)
+
+
+def test_concurrence_bounds_hold_on_every_live_sector():
+    # The bounds are widened by 4 sqrt(x) + 8 x, x = |PSD_ATOL| / weight: the
+    # kernel drops block eigenvalues down to PSD_ATOL / weight, as in the
+    # gated edge states, and they enter under square roots.
+    for rho in search_corpus():
+        lower, upper, conc = bounds_table(rho)
+        assert (lower <= conc).all() and (conc <= upper).all()
+        assert (upper >= 0.0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans())
+def test_concurrence_bounds_of_two_qubit_states(rank, seed, x_state):
+    # A unit-weight block is widened by 4 sqrt(1e-9) + 8e-9; on an X state the
+    # lower bound is the concurrence itself.
+    margin = 4 * math.sqrt(1e-9) + 8e-9
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    m = g @ g.conj().T
+    if x_state:
+        m *= np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]])
+    m /= np.trace(m).real
+    c = wootters_concurrences(m[None])
+    lower, upper = concurrence_bounds(m[None], np.ones(1))
+    assert lower <= c <= upper
+    assert upper <= 1.0 + margin + 1e-15  # 2 (sqrt(s00 s33) + sqrt(s11 s22)) <= Tr sigma = 1
+    if x_state:
+        assert max(0.0, lower[0] + margin) == pytest.approx(c[0], abs=1e-12)
+
+
+def test_concurrence_bounds_read_the_separable_ball():
+    # Tr sigma^2 <= 1/3 leaves only the margin above; the maximally mixed
+    # block has populations of 1/4, whose product bound alone is 1.
+    lower, upper = concurrence_bounds(np.eye(4)[None] / 4, np.ones(1))
+    assert upper == pytest.approx(4 * math.sqrt(1e-9) + 8e-9, abs=1e-15)
+    assert lower < 0.0
+
+
+@pytest.mark.parametrize(
+    "lower, upper, perm",
+    [
+        ([[0.3]], [[0.4]], (0,)),
+        ([[0.0]], [[0.4]], None),
+        # The best other bijection's upper product 0.5 * 0.5 is below 0.8 * 0.8.
+        ([[0.8, 0.0], [0.0, 0.8]], [[0.9, 0.5], [0.5, 0.9]], (0, 1)),
+        # ... and here it is not.
+        ([[0.5, 0.0], [0.0, 0.5]], [[0.9, 0.6], [0.6, 0.9]], None),
+        # Both rows peak in column 0: no bijection to certify.
+        ([[0.8, 0.1], [0.8, 0.1]], [[0.9, 0.2], [0.9, 0.2]], None),
+        # A tie in the upper bounds cannot certify.
+        ([[0.9, 0.9], [0.9, 0.9]], [[0.9, 0.9], [0.9, 0.9]], None),
+        # A sector scored 0 (upper 0) is no rival.
+        ([[0.1, 0.0], [0.0, 0.1]], [[0.2, 0.0], [0.0, 0.2]], (0, 1)),
+    ],
+)
+def test_certified_pairing_tables(lower, upper, perm):
+    found = certified_pairing(np.array(lower), np.array(upper))
+    assert (found is None) if perm is None else tuple(found) == perm
+
+
+def test_white_noise_spdc_search_scores_only_the_pairing_sectors(monkeypatch):
+    # The bounds certify these states' pairings, so the kernel scores K
+    # sectors, not K^2; a noisier one falls back to all K^2.
+    scored = []
+    kernel = witness.wootters_concurrences
+    monkeypatch.setattr(witness, "wootters_concurrences", lambda states: scored.append(len(states)) or kernel(states))
+    for d, decay, v in WHITE_NOISE_SPDC + ((5, 1.5, 0.6),):
+        scored.clear()
+        pconcurrence_search(white_noise_spdc(d, decay, v)[0])
+        k = d * (d - 1) // 2
+        assert sum(scored) == (k * k if v == 0.6 else k)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_tied_density_search_falls_back_to_the_full_table(d):
+    rho = shifted_bell_mixture(d)
+    report = full_table_report(rho)
+    assert report.pconcurrence > 0.1
+    # Another pairing reaches the same product: forbid one chosen sector and solve again.
+    lower, upper, conc = bounds_table(rho)
+    conc[0, enumerate_pairs(d).index(report.subspace_rows[0].b)] = 0.0
+    rival = maximize_over_pairings(conc)
+    assert math.prod(conc[i, j] for i, j in enumerate(rival)) == pytest.approx(report.pconcurrence, rel=1e-12)
+    assert certified_pairing(lower, upper) is None
+    assert pconcurrence_search(rho) == report
 
 
 # --- records take the same two entry points ------------------------------------
