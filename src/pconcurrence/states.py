@@ -90,13 +90,12 @@ class IndexPair:
 
 def enumerate_pairs(d: int) -> list[IndexPair]:
     """All strictly ordered index pairs in lexicographic order."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    count_subspaces(d)  # refuses d < 2
     return [IndexPair(lo, hi) for lo, hi in itertools.combinations(range(d), 2)]
 
 
 def count_subspaces(d: int) -> int:
-    """Number of two-dimensional sectors of a d-dimensional side: d(d-1)/2, the length of enumerate_pairs(d)."""
+    """Number of two-dimensional sectors of a d-dimensional side, d(d-1)/2: the one side-dimension gate, refusing d < 2."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     return d * (d - 1) // 2
@@ -187,8 +186,7 @@ def make_spdc_qutrit(p: SpdcParams) -> BipartiteKet:
 
 def make_max_entangled(d: int) -> BipartiteKet:
     """Maximally entangled state sum_i |i,i> / sqrt(d)."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    count_subspaces(d)  # refuses d < 2
     amp = np.zeros(d * d, dtype=complex)
     amp[:: d + 1] = 1.0 / math.sqrt(d)
     return BipartiteKet(d, d, amp)
@@ -202,8 +200,7 @@ def make_spdc_qudit(d: int, decay: float) -> BipartiteKet:
     step heavier on the positive side). decay -> infinity recovers the
     maximally entangled state.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    count_subspaces(d)  # refuses d < 2
     if decay <= 0:
         raise ValueError(f"decay must be positive, got {decay!r}")
     lvals = tuple(range(d // 2, d // 2 - d, -1))  # descending, e.g. d=3 -> (1, 0, -1)

@@ -191,8 +191,7 @@ def _pairwise_arm(d: int) -> tuple[np.ndarray, list[str]]:
     pair recovers exactly the 6-ket qubit set, which is what makes qubit
     sub-tomography a literal filter.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    count_subspaces(d)  # refuses d < 2
     lo, hi = (np.repeat(ix, 4) for ix in np.triu_indices(d, 1))
     k = np.tile(np.arange(4), len(lo) // 4)
     rows, sup = np.arange(len(lo)), np.zeros((len(lo), d), dtype=complex)
@@ -827,15 +826,19 @@ def sector_estimates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked per-sector MLE states and weights of a qudit record.
 
-    The weight estimate is the total sector frequency / 9: the 36 subspace
-    projectors of a pairwise record sum to 9 I. A sector whose weight is
-    below WEIGHT_FLOOR, one without counts among them, is not fitted and its
-    state stays zero: witness.sector_table scores it 0 in every column.
+    The weight estimate is the total sector frequency / (Tr S / 4), for the
+    frame S = sum_j |v_j><v_j| of the sector's m kept settings (Tr S = m).
+    It is exact where S is a multiple of I, as on the 36 settings of a
+    pairwise or qubit36 sector (S = 9 I), each listed once or all as often;
+    elsewhere it is an average-case estimate, exact for a block proportional
+    to I. A sector whose weight is below WEIGHT_FLOOR, one without counts
+    among them, is not fitted and its state stays zero:
+    witness.sector_table scores it 0 in every column.
     """
     states = np.zeros((len(pairs), 4, 4), dtype=complex)
     weights = np.zeros(len(pairs))
     for i, sub_record in enumerate(sector_records(record, pairs)):
-        weights[i] = frequencies(sub_record).sum() / 9.0
+        weights[i] = frequencies(sub_record).sum() * 4 / len(sub_record.settings)
         if weights[i] >= WEIGHT_FLOOR:
             states[i] = reconstruct_mle(sub_record).matrix
     return states, weights
@@ -845,7 +848,11 @@ def sector_estimates(
 
 
 def budget(d: int, integration_time_s: float = 10.0) -> Budget:
-    """Measurement counts and times: 36 K subspace settings vs (2d^2-d)^2 full QST."""
+    """Measurement counts and times: 36 K subspace settings vs (2d^2-d)^2 full QST.
+
+    36 K (1008 at d = 8) counts each basis-basis setting once per sector that
+    shares it; the K sectors hold 32 K + d^2 distinct settings (960 at d = 8).
+    """
     k = count_subspaces(d)  # refuses d < 2
     _check_positive("integration_time_s", integration_time_s)
     pconc, qst = 36 * k, (2 * d * d - d) ** 2

@@ -14,7 +14,7 @@ weights, concurrences and Bell fidelities, one entry per sector. A ket's
 sectors are pure, and ket_sectors scores them in closed form from one
 gather of its amplitudes; a density's blocks (sector_states, one gather)
 and a record's MLE estimates (tomography.sector_estimates) go through one
-batched Wootters kernel, sector_concurrences, and
+block builder, _block_table: the batched Wootters kernel and
 measures.bell_fidelities. sector_report builds the rows from the table.
 
 A pairing search scores all K^2 sectors, except on a density whose
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import bell_fidelities, eof_pure, i_concurrence, wootters_concurrences
-from .states import PSD_ATOL, WEIGHT_FLOOR, BipartiteKet, DensityMatrix, IndexPair, enumerate_pairs
+from .states import PSD_ATOL, WEIGHT_FLOOR, BipartiteKet, DensityMatrix, IndexPair, count_subspaces, enumerate_pairs
 from .tomography import TomographyRecord, sector_estimates
 
 Source = BipartiteKet | DensityMatrix | TomographyRecord
@@ -151,17 +151,6 @@ def sector_states(
     return raw / np.where(weights < WEIGHT_FLOOR, 1.0, weights)[:, None, None], weights
 
 
-def sector_concurrences(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Wootters concurrences of a (..., 4, 4) stack of sector states, in one batched call.
-
-    A sector with weight below WEIGHT_FLOOR holds no entanglement and scores 0.
-    """
-    live = weights >= WEIGHT_FLOOR
-    conc = np.zeros(weights.shape)
-    conc[live] = wootters_concurrences(states[live])
-    return conc
-
-
 def ket_sectors(
     kets: np.ndarray, dims: tuple[int, int], pairs: Sequence[tuple[IndexPair, IndexPair]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,10 +193,15 @@ def sector_table(
 
 
 def _block_table(states: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sector table of (M, 4, 4) sector states and their (M,) weights: Wootters kernel and bell_fidelities."""
+    """The sector table of (M, 4, 4) sector states and their (M,) weights: Wootters kernel and bell_fidelities.
+
+    The one block builder, for density blocks and record estimates alike; a
+    sector below WEIGHT_FLOOR scores 0 in all three and skips the kernel.
+    """
     live = weights >= WEIGHT_FLOOR
-    fid = np.where(live, bell_fidelities(states), 0.0)
-    return np.where(live, weights, 0.0), sector_concurrences(states, weights), fid
+    conc = np.zeros(weights.shape)
+    conc[live] = wootters_concurrences(states[live])
+    return np.where(live, weights, 0.0), conc, np.where(live, bell_fidelities(states), 0.0)
 
 
 def sector_report(
@@ -445,8 +439,7 @@ def normalize_measure(raw: float | np.ndarray, measure_name: str, d: int) -> flo
 
     raw is one value or an array of them, and the result has its shape.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    count_subspaces(d)  # refuses d < 2
     if measure_name not in MEASURES:
         raise ValueError(f"unknown measure {measure_name!r}")
     x = np.asarray(raw, dtype=float) / MEASURES[measure_name][1](d)

@@ -38,6 +38,7 @@ from pconcurrence.tomography import (
     reconstruct_linear,
     reconstruct_mle,
     save_record,
+    sector_estimates,
     sector_records,
     simulate_counts,
 )
@@ -937,6 +938,26 @@ def test_sector_records_name_the_one_deficient_sector():
     assert [len(sub.settings) for sub in others] == [36] * 35
     with pytest.raises(ValueError, match=r"^only 20 settings \(rank 12\) remain on subspace \(1,2\)x\(1,2\); 16 independent"):
         sector_records(record, pairs)
+
+
+def test_sector_weights_scale_with_each_sector_own_settings():
+    # A d = 3 pairwise record that lists every setting twice, with counts from
+    # two seeds, doubles both a sector's total frequency and its setting count,
+    # so each weight keeps the scale of the record listed once.
+    rho, _ = white_noise_spdc(3, 1.5, 0.9)
+    settings, pairs = qutrit_settings(), identity_pairing(3)
+    once, again = (simulate_counts(rho, settings, 1e3, 10.0, seed=seed) for seed in (0, 1))
+    twice = TomographyRecord(1e3, 10.0, take(settings, np.tile(np.arange(len(settings)), 2)),
+                             np.concatenate([once.counts, again.counts]))
+    weights_once, weights_twice = sector_estimates(once, pairs)[1], sector_estimates(twice, pairs)[1]
+    assert (weights_twice <= 1.0).all()
+    assert np.abs(weights_twice - weights_once).max() <= 0.02
+    # On the 36 settings of a pairwise sector, x * 4 / 36 and x / 9 round the same real number.
+    for d in (3, 4, 5):
+        record = simulate_counts(white_noise_spdc(d, 1.5, 0.9)[0], family_settings("pairwise", d, d), 1e3, 10.0, seed=d)
+        pairs = identity_pairing(d)
+        weights = sector_estimates(record, pairs)[1]
+        assert weights.tolist() == [frequencies(sub).sum() / 9 for sub in sector_records(record, pairs)]
 
 
 def test_settings_refuse_index_pairs_outside_the_tables():

@@ -26,6 +26,7 @@ from pconcurrence.tomography import family_settings, sector_estimates, simulate_
 from pconcurrence.witness import (
     WEIGHT_FLOOR,
     WitnessReport,
+    _block_table,
     certified_pairing,
     concurrence_bounds,
     identity_pairing,
@@ -34,7 +35,6 @@ from pconcurrence.witness import (
     pconcurrence_known,
     pconcurrence_search,
     report_to_dict,
-    sector_concurrences,
     sector_pairs,
     sector_report,
     sector_states,
@@ -389,7 +389,7 @@ def test_ket_kernel_equals_the_wootters_kernel_on_ket_sectors(d, n, seed, tiny):
         states, ref_weights = sector_states(np.outer(ket, ket.conj()), (d, d), pairs)
         live = ref_weights >= WEIGHT_FLOOR
         assert np.abs(weights[i] - np.where(live, ref_weights, 0.0)).max() <= 1e-15
-        assert np.abs(conc[i] - sector_concurrences(states, ref_weights)).max() <= 1e-14
+        assert np.abs(conc[i] - _block_table(states, ref_weights)[1]).max() <= 1e-14
         assert np.abs(fid[i] - np.where(live, bell_fidelities(states), 0.0)).max() <= 1e-14
         assert ((weights[i] > 0) == live).all()
 
@@ -606,7 +606,7 @@ def bounds_table(rho):
     k = d * (d - 1) // 2
     states, weights = sector_states(rho.matrix, (d, d), sector_pairs(d))
     lower, upper = concurrence_bounds(states, weights)
-    return lower.reshape(k, k), upper.reshape(k, k), sector_concurrences(states, weights).reshape(k, k)
+    return lower.reshape(k, k), upper.reshape(k, k), _block_table(states, weights)[1].reshape(k, k)
 
 
 def full_table_report(rho):
@@ -727,7 +727,7 @@ def test_known_on_a_record_scores_the_record_estimates_of_any_bijection(noisy_qu
     assert report.pairing_used == pairing
     states, weights = sector_estimates(noisy_qutrit_record, pairing)
     assert (weights >= WEIGHT_FLOOR).all()
-    table = weights, sector_concurrences(states, weights), bell_fidelities(states)
+    table = weights, _block_table(states, weights)[1], bell_fidelities(states)
     assert report.subspace_rows == sector_report(pairing, *table).subspace_rows
 
 
