@@ -18,7 +18,7 @@ import math
 import sys
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +97,9 @@ class Settings:
         return len(self.pairs)
 
     def joint_kets(self) -> np.ndarray:
-        """Row j is the kron of setting j's two kets, as one broadcast product."""
-        return (self.kets_a[self.pairs[:, 0], :, None] * self.kets_b[self.pairs[:, 1], None, :]).reshape(len(self), -1)
+        """Row j is the kron of setting j's two kets, as one broadcast product; (m, dA * dB), for m = 0 too."""
+        a, b = self.kets_a[self.pairs[:, 0]], self.kets_b[self.pairs[:, 1]]
+        return (a[:, :, None] * b[:, None, :]).reshape(len(self), a.shape[1] * b.shape[1])
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -759,24 +760,21 @@ def reconstruct_mle(
 # --- qubit sub-tomography ---------------------------------------------------
 
 
-def _arm_restrictions(kets: np.ndarray, labels: np.ndarray, used: np.ndarray, pairs: set[IndexPair]) -> dict:
-    """Per index pair: one arm's table restricted to span{|lo>, |hi>}, its labels, and each setting's row in it.
+def _arm_restrictions(kets: np.ndarray, used: np.ndarray, pairs: set[IndexPair]) -> dict:
+    """Per index pair: one arm's table restricted to span{|lo>, |hi>} and each setting's row in it.
 
-    kets is the (k, d) table of the arm, labels its k labels and used each
-    setting's row of it. The kets with at most SUPPORT_ATOL of |ket|^2
-    outside (lo, hi) live on the span; the restricted table holds their
-    (ket[lo], ket[hi]) / sqrt(inside), in table order, and a setting whose
-    ket is off the span has row -1.
+    kets is the (k, d) table of the arm and used each setting's row of it. The kets with at most
+    SUPPORT_ATOL of |ket|^2 outside (lo, hi) live on the span; the restricted table holds their
+    (ket[lo], ket[hi]) / sqrt(inside) in table order, without labels, and an off-span setting has row -1.
     """
     weight = np.abs(kets) ** 2
     total = weight.sum(axis=1)
     out = {}
     for pair in pairs:
         inside = weight[:, pair.lo] + weight[:, pair.hi]
-        keep = np.flatnonzero(~(total - inside > SUPPORT_ATOL))
-        rows = np.full(len(kets), -1)
-        rows[keep] = np.arange(len(keep))
-        out[pair] = kets[keep][:, [pair.lo, pair.hi]] / np.sqrt(inside[keep])[:, None], labels[keep], rows[used]
+        on = ~(total - inside > SUPPORT_ATOL)
+        rows = np.where(on, np.cumsum(on) - 1, -1)
+        out[pair] = kets[on][:, [pair.lo, pair.hi]] / np.sqrt(inside[on])[:, None], rows[used]
     return out
 
 
@@ -787,37 +785,38 @@ def sector_records(
 
     A sector keeps, in record order, the settings whose arm-A ket lives on
     span{|a.lo>, |a.hi>} and whose arm-B ket lives on span{|b.lo>, |b.hi>},
-    re-expressed in subspace coordinates (lo -> 0, hi -> 1). Counts and
-    labels pass through unmodified. The arm tables are restricted once per
-    index pair, so a sector is the settings whose two rows are >= 0, and the
-    design rank is found once per distinct restricted joint-ket table (all
-    sectors of a pairwise record share one). Pairwise-overcomplete records
-    yield exactly 36 settings per sector.
+    re-expressed in subspace coordinates (lo -> 0, hi -> 1), with their
+    counts and without labels. The arm tables are restricted once per index
+    pair, so a sector is the settings whose two rows are >= 0. Sectors whose
+    restricted arm tables and index pairs are byte-equal share one Settings,
+    checked once, and one design rank: all sectors of a pairwise record
+    share one table of 36 settings.
     """
     for a, b in pairs:
         if a.hi >= record.dim_a or b.hi >= record.dim_b:
             raise ValueError(
                 f"pair indices ({a.lo},{a.hi})x({b.lo},{b.hi}) exceed dims ({record.dim_a}, {record.dim_b})"
             )
-    table = record.settings
-    arms_a = _arm_restrictions(table.kets_a, table.labels_a, table.pairs[:, 0], {a for a, _ in pairs})
-    arms_b = _arm_restrictions(table.kets_b, table.labels_b, table.pairs[:, 1], {b for _, b in pairs})
-    records, ranks = [], {}  # joint-ket table bytes -> its design rank
+    table, timing = record.settings, (record.rate_hz, record.integration_time_s)
+    arms_a = _arm_restrictions(table.kets_a, table.pairs[:, 0], {a for a, _ in pairs})
+    arms_b = _arm_restrictions(table.kets_b, table.pairs[:, 1], {b for _, b in pairs})
+    records, designs = [], {}  # restricted table bytes -> its Settings and design rank
     for a, b in pairs:
-        (sub_a, labels_a, rows_a), (sub_b, labels_b, rows_b) = arms_a[a], arms_b[b]
+        (sub_a, rows_a), (sub_b, rows_b) = arms_a[a], arms_b[b]
         kept = np.flatnonzero((rows_a >= 0) & (rows_b >= 0))
-        settings = Settings(sub_a, sub_b, np.column_stack([rows_a[kept], rows_b[kept]]), labels_a, labels_b)
-        joint = settings.joint_kets()
-        key = joint.tobytes()
-        if key not in ranks:
-            ranks[key] = int(np.linalg.matrix_rank(_design_matrix(joint, 4))) if len(kept) else 0
-        rank = ranks[key]
+        sub_pairs = np.column_stack([rows_a[kept], rows_b[kept]])
+        key = sub_a.tobytes(), sub_b.tobytes(), sub_pairs.tobytes()
+        if key not in designs:
+            settings = Settings(sub_a, sub_b, sub_pairs)
+            rank = int(np.linalg.matrix_rank(_design_matrix(settings.joint_kets(), 4))) if len(kept) else 0
+            designs[key] = settings, rank
+        settings, rank = designs[key]
         if rank < 16:
             raise ValueError(
                 f"only {len(kept)} settings (rank {rank}) remain on subspace "
                 f"({a.lo},{a.hi})x({b.lo},{b.hi}); 16 independent settings are needed"
             )
-        records.append(replace(record, settings=settings, counts=record.counts[kept]))
+        records.append(TomographyRecord(*timing, settings, record.counts[kept], record.seed))
     return records
 
 

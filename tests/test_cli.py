@@ -24,7 +24,7 @@ from pconcurrence.states import (
     validate_density,
 )
 from pconcurrence.witness import identity_pairing, normalize_measure, pconcurrence_known, pconcurrence_search, report_to_dict
-from pconcurrence.tomography import Settings, load_record, save_record
+from pconcurrence.tomography import Settings, arm_kets, joint_settings, load_record, save_record, simulate_counts
 
 
 @pytest.fixture()
@@ -850,6 +850,19 @@ def test_witness_refuses_a_mub_record_that_reconstruct_reads(tmp_path, capsys, d
             "", "error: only 4 settings (rank 4) remain on subspace (0,1)x(0,1); 16 independent settings are needed\n"
         )
     assert main(["reconstruct", str(record), "--method", "linear", "--out", str(tmp_path / "rho.json")]) == 0
+
+
+def test_witness_names_a_sector_that_keeps_no_setting(tmp_path, capsys):
+    # One Fourier basis per arm: each ket has all three entries nonzero, so no setting lives on a qubit sector.
+    kets = arm_kets("mub", 3)[0][3:6]
+    record = simulate_counts(density_from_ket(make_spdc_qudit(3, 1.5)), joint_settings(kets, kets), 1e3, 10.0, seed=0)
+    path = tmp_path / "fourier.json"
+    save_record(path, record)
+    for pairing in ("known", "search"):
+        assert main(["witness", str(path), "--pairing", pairing]) == 1
+        assert capsys.readouterr() == (
+            "", "error: only 0 settings (rank 0) remain on subspace (0,1)x(0,1); 16 independent settings are needed\n"
+        )
 
 
 def test_sector_only_record_witnesses_its_pairing_and_refuses_the_search(tmp_path, capsys):

@@ -273,6 +273,14 @@ def test_born_probabilities_check_dimension_and_range():
         born_probabilities(rho, Settings([ket], [ket], [[0, 0]]))
 
 
+def test_simulate_refuses_a_table_without_settings():
+    kets = arm_kets("mub", 3)[0][3:6]  # one Fourier basis
+    settings = Settings(kets, kets, np.zeros((0, 2), dtype=int))
+    assert settings.joint_kets().shape == (0, 9)
+    with pytest.raises(ValueError, match="^a record needs at least one setting$"):
+        simulate_counts(density_from_ket(QUTRIT), settings, 1e3, 1.0, seed=0)
+
+
 def test_simulate_rejects_bad_rate():
     with pytest.raises(ValueError):
         simulate_counts(density_from_ket(BELL), bell_settings(), 0.0, 10.0)
@@ -735,7 +743,7 @@ def test_extract_commutes_with_projection():
 
 
 def per_setting_sector(record, a, b):
-    """The sector filter written one setting at a time: (kets A, kets B, labels, counts)."""
+    """The sector filter written one setting at a time: (kets A, kets B, counts)."""
 
     def restrict(ket, pair):
         weight = np.abs(ket) ** 2
@@ -745,10 +753,11 @@ def per_setting_sector(record, a, b):
         return np.array([ket[pair.lo], ket[pair.hi]]) / math.sqrt(inside)
 
     kept = []
-    for ket_a, ket_b, label_a, label_b, count in zip(*per_setting(record.settings), record.counts):
+    kets_a, kets_b, _, _ = per_setting(record.settings)
+    for ket_a, ket_b, count in zip(kets_a, kets_b, record.counts):
         sub_a, sub_b = restrict(ket_a, a), restrict(ket_b, b)
         if sub_a is not None and sub_b is not None:
-            kept.append((sub_a, sub_b, (label_a, label_b), count))
+            kept.append((sub_a, sub_b, count))
     return tuple(np.array(column) for column in zip(*kept))
 
 
@@ -777,16 +786,28 @@ def test_sector_records_match_the_per_setting_filter():
     for record in records:
         pairs = sector_pairs(record.dim_a)
         for (a, b), sub in zip(pairs, sector_records(record, pairs), strict=True):
-            kets_a, kets_b, labels, counts = per_setting_sector(record, a, b)
+            kets_a, kets_b, counts = per_setting_sector(record, a, b)
             assert (sub.dim_a, sub.dim_b, sub.seed) == (2, 2, record.seed)
-            sub_kets_a, sub_kets_b, sub_labels_a, sub_labels_b = per_setting(sub.settings)
+            sub_kets_a, sub_kets_b, _, _ = per_setting(sub.settings)
             assert sub_kets_a.tobytes() == kets_a.tobytes()
             assert sub_kets_b.tobytes() == kets_b.tobytes()
-            assert list(zip(sub_labels_a, sub_labels_b)) == [tuple(pair) for pair in labels]
             assert sub.counts.tobytes() == counts.tobytes()
             assert sector_records(record, [(a, b)])[0].counts.tobytes() == counts.tobytes()
     # every pair gains a seventh arm ket, the one that leaks ~1e-14 of its weight
     assert [len(sub.settings) for sub in sector_records(records[0], sector_pairs(3))] == [49] * 9
+
+
+def test_sector_records_share_one_settings_per_restricted_table():
+    # Sectors share one Settings object exactly when their restricted arm
+    # tables and index pairs are byte-equal: all K^2 sectors of a pairwise
+    # record do, while the mixed record restricts differently on every sector.
+    for d in range(3, 9):
+        record = TomographyRecord(1e3, 1.0, family_settings("pairwise", d, d), np.ones((2 * d * d - d) ** 2))
+        assert len({id(sub.settings) for sub in sector_records(record, sector_pairs(d))}) == 1
+    tables = [sub.settings for sub in sector_records(mixed_record(), sector_pairs(3))]
+    for s, t in itertools.product(tables, repeat=2):
+        assert (s is t) == all(getattr(s, f).tobytes() == getattr(t, f).tobytes() for f in ("kets_a", "kets_b", "pairs"))
+    assert len({id(table) for table in tables}) == 9
 
 
 def test_extract_insufficient_settings():
